@@ -127,16 +127,13 @@ func BenchmarkFFT2D256Planned(b *testing.B) {
 	}
 }
 
-func benchAerial(b *testing.B, engine optics.Engine, parallel bool, prec ...optics.Precision) {
+func benchAerial(b *testing.B, engine optics.Engine, parallel bool) {
 	b.Helper()
 	s := optics.Default()
 	s.SourceSteps = 5
 	s.GuardNM = 1200
 	s.Engine = engine
 	s.Parallel = parallel
-	if len(prec) > 0 {
-		s.Precision = prec[0]
-	}
 	sim, err := optics.New(s)
 	if err != nil {
 		b.Fatal(err)
@@ -154,9 +151,11 @@ func benchAerial(b *testing.B, engine optics.Engine, parallel bool, prec ...opti
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Aerial(mask, window); err != nil {
+		im, err := sim.Aerial(mask, window)
+		if err != nil {
 			b.Fatal(err)
 		}
+		im.Release()
 	}
 }
 
@@ -164,12 +163,6 @@ func benchAerial(b *testing.B, engine optics.Engine, parallel bool, prec ...opti
 // (SOCS, serial) at equal source sampling to the Abbe variants below.
 func BenchmarkAerialImage(b *testing.B)             { benchAerial(b, optics.EngineSOCS, false) }
 func BenchmarkAerialImageSOCSParallel(b *testing.B) { benchAerial(b, optics.EngineSOCS, true) }
-
-// BenchmarkAerialImageF32 is the SOCS serial benchmark with the
-// PrecisionF32 kernel path (complex64 coarse inverses).
-func BenchmarkAerialImageF32(b *testing.B) {
-	benchAerial(b, optics.EngineSOCS, false, optics.PrecisionF32)
-}
 func BenchmarkAerialImageAbbe(b *testing.B)         { benchAerial(b, optics.EngineAbbe, false) }
 func BenchmarkAerialImageAbbeParallel(b *testing.B) { benchAerial(b, optics.EngineAbbe, true) }
 

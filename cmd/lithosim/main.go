@@ -27,26 +27,19 @@ func main() {
 	cutY := flag.Int("cut", 0, "y coordinate of the horizontal cut [DBU]")
 	defocus := flag.Float64("defocus", 0, "defocus [nm]")
 	demo := flag.Bool("demo", false, "run the built-in through-pitch demo")
-	precFlag := flag.String("precision", "f64", "SOCS imaging precision: f64 | f32")
 	version := flag.Bool("version", false, "print the build fingerprint and exit")
 	flag.Parse()
 	if *version {
 		fmt.Println("lithosim", obs.CollectBuildInfo())
 		return
 	}
-	prec, err := optics.ParsePrecision(*precFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lithosim:", err)
-		os.Exit(2)
-	}
-
-	if err := run(*gdsPath, *cellName, layout.Layer(*layerNum), geom.Coord(*cutY), *defocus, *demo, prec); err != nil {
+	if err := run(*gdsPath, *cellName, layout.Layer(*layerNum), geom.Coord(*cutY), *defocus, *demo); err != nil {
 		fmt.Fprintln(os.Stderr, "lithosim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(gdsPath, cellName string, l layout.Layer, cutY geom.Coord, defocus float64, demo bool, prec optics.Precision) error {
+func run(gdsPath, cellName string, l layout.Layer, cutY geom.Coord, defocus float64, demo bool) error {
 	var polys []geom.Polygon
 	switch {
 	case demo:
@@ -82,9 +75,7 @@ func run(gdsPath, cellName string, l layout.Layer, cutY geom.Coord, defocus floa
 		return fmt.Errorf("no geometry on layer %v", l)
 	}
 
-	s := optics.Default()
-	s.Precision = prec
-	sim, err := optics.New(s)
+	sim, err := optics.New(optics.Default())
 	if err != nil {
 		return err
 	}

@@ -187,7 +187,6 @@ func run(args []string) int {
 	outPath := fs.String("out", "", "write corrected geometry to this GDSII file (single level only)")
 	deckPath := fs.String("deck", "", "JSON job deck: run a multi-layer tape-out job")
 	fast := fs.Bool("fast", true, "reduced source sampling for speed")
-	precFlag := fs.String("precision", "f64", "SOCS imaging precision: f64 | f32 (complex64 coarse kernel fields)")
 	reportPath := fs.String("report", "", "write an obs RunReport (JSON) to this file")
 	tracePath := fs.String("trace", "", "write the tiled run's flight-recorder timeline as Chrome trace-event JSON to this file")
 	obsListen := fs.String("obs-listen", "", "serve the live inspector (/metrics, /status, /debug/pprof) on this address, e.g. :9090")
@@ -210,11 +209,6 @@ func run(args []string) int {
 	if *version {
 		fmt.Println("opcflow", obs.CollectBuildInfo())
 		return exitOK
-	}
-	prec, perr := optics.ParsePrecision(*precFlag)
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "opcflow:", perr)
-		return exitUsage
 	}
 
 	a := &app{
@@ -256,8 +250,7 @@ func run(args []string) int {
 		rep = obs.NewRunReport("opcflow", args, map[string]any{
 			"gds": *gdsPath, "layer": *layerNum, "workload": *workload,
 			"level": *levelFlag, "deck": *deckPath, "fast": *fast,
-			"precision": prec.String(),
-			"ckpt":      rc.ckptPath, "resume": rc.resumePath, "inject": rc.inject,
+			"ckpt": rc.ckptPath, "resume": rc.resumePath, "inject": rc.inject,
 			"patlib": rc.patlibPath, "prior": rc.priorPath,
 		})
 	}
@@ -268,7 +261,7 @@ func run(args []string) int {
 		}
 		err = a.runDeck(*deckPath, *gdsPath, *outPath)
 	} else {
-		err = a.runLevels(ctx, *gdsPath, layout.Layer(*layerNum), *workload, *levelFlag, *outPath, *fast, prec, &rc)
+		err = a.runLevels(ctx, *gdsPath, layout.Layer(*layerNum), *workload, *levelFlag, *outPath, *fast, &rc)
 	}
 	a.root.End()
 	if a.tracer != nil {
@@ -390,7 +383,7 @@ func (a *app) runDeck(deckPath, gdsPath, outPath string) error {
 	return nil
 }
 
-func (a *app) runLevels(ctx context.Context, gdsPath string, l layout.Layer, workload, levelFlag, outPath string, fast bool, prec optics.Precision, rc *resilienceCfg) error {
+func (a *app) runLevels(ctx context.Context, gdsPath string, l layout.Layer, workload, levelFlag, outPath string, fast bool, rc *resilienceCfg) error {
 	sp := a.root.Start("load")
 	target, err := loadTarget(gdsPath, l, workload)
 	sp.End()
@@ -404,7 +397,6 @@ func (a *app) runLevels(ctx context.Context, gdsPath string, l layout.Layer, wor
 		s.SourceSteps = 5
 		s.GuardNM = 1200
 	}
-	s.Precision = prec
 	a.log.Infof("calibrating flow (threshold + rule table)...")
 	sp = a.root.Start("calibrate")
 	flow, err := core.NewFlow(core.Options{Optics: s, BiasSpaces: []geom.Coord{240, 320, 420, 560}})

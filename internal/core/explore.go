@@ -48,6 +48,7 @@ func (f *Flow) MinPitchForSpec(cd geom.Coord, pitches []geom.Coord, tolFrac floa
 			return 0, nil, fmt.Errorf("core: pitch %d imaging: %w", pitch, err)
 		}
 		cdM, err := resist.MeasureCD(im, f.Threshold, 0, 0, true, float64(pitch))
+		im.Release()
 		if err == nil {
 			pr.PrintedCD = cdM
 			pr.InSpec = math.Abs(cdM-float64(cd)) <= tolFrac*float64(cd)

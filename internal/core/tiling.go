@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"goopc/internal/obs/trace"
 	"goopc/internal/opc"
 	"goopc/internal/opc/model"
+	"goopc/internal/par"
 	"goopc/internal/patlib"
 )
 
@@ -302,14 +302,6 @@ func (f *Flow) CorrectWindowedCtx(ctx context.Context, target []geom.Polygon, le
 	// Flow.Tracer yields nil handles and every Emit below is a no-op.
 	sched := f.Tracer.Worker(0)
 
-	workers := 1
-	if parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-	}
-
 	kh0, km0 := f.Sim.KernelCacheStats()
 	t0 := time.Now()
 
@@ -447,224 +439,215 @@ func (f *Flow) CorrectWindowedCtx(ctx context.Context, target []geom.Polygon, le
 		classRes := make([]classResult, len(classes))
 		var mu sync.Mutex
 		var firstErr error
-		classCh := make(chan int)
-		var wg sync.WaitGroup
-		nw := workers
-		if nw > len(classes) {
-			nw = len(classes)
-		}
-		if nw < 1 {
-			nw = 1
-		}
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(wid int32) {
-				defer wg.Done()
-				// Worker 0 is the coordinator's ring; pool goroutines
-				// record on rings 1..nw.
-				tw := f.Tracer.Worker(wid + 1)
-				for ci := range classCh {
-					c := classes[ci]
-					if cerr := ctx.Err(); cerr != nil {
-						// Run cancelled: drain the queue without working.
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("core: pass %d: %w", pass, cerr)
-						}
-						mu.Unlock()
-						continue
-					}
-					j := jobs[c.rep]
-					core := j.core
-					active := j.active
-					haloPolys := contexts[c.rep]
-					canonical := len(c.members) > 1
-					origin := geom.Pt(core.X0, core.Y0)
-					if canonical {
-						// Canonical placement: tile origin at (0,0).
-						shift := geom.Pt(-core.X0, -core.Y0)
-						core = core.Translate(shift)
-						active = geom.TranslatePolygons(active, shift)
-						haloPolys = geom.TranslatePolygons(haloPolys, shift)
-					}
-					if ent, ok := ckptLookup(ckpt, pass, c.key); ok {
-						// Finished in a previous (checkpointed) run:
-						// restore instead of correcting. Entries are
-						// canonical; singletons translate back in place.
-						tw.Emit(trace.TileResumed, pass, j.core, len(c.members), ent.Iters, ent.RMS, "")
-						cr := classResult{rms: ent.RMS, iters: ent.Iters, resumed: true}
-						if canonical {
-							cr.polys = ent.Polys
-						} else {
-							cr.polys = geom.TranslatePolygons(ent.Polys, origin)
-						}
-						classRes[ci] = cr
-						mTilesDone.Add(float64(len(c.members)))
-						progress(pass, len(c.members))
-						continue
-					}
-					if ent, ok := remote[c.key]; ok {
-						// Solved by a cluster worker: entries arrive in the
-						// canonical checkpoint format, so folding one is the
-						// resume path with a different source. Remote entries
-						// are always clean engine solutions (workers report
-						// degraded classes as unsolved), so they are
-						// checkpoint and library material like a local solve.
-						tw.Emit(trace.TileRemote, pass, j.core, len(c.members), ent.Iters, ent.RMS, "")
-						cr := classResult{rms: ent.RMS, iters: ent.Iters, remote: true}
-						if canonical {
-							cr.polys = ent.Polys
-						} else {
-							cr.polys = geom.TranslatePolygons(ent.Polys, origin)
-						}
-						classRes[ci] = cr
-						if psess != nil {
-							cActive, cHalo := active, haloPolys
-							if !canonical {
-								shift := geom.Pt(-core.X0, -core.Y0)
-								cActive = geom.TranslatePolygons(active, shift)
-								cHalo = geom.TranslatePolygons(haloPolys, shift)
-							}
-							psess.Append(level.String(), c.key, tile, cActive, cHalo, ent.Polys, ent.RMS, ent.Iters)
-						}
-						if ckpt != nil {
-							if err := ckpt.add(pass, c.key, ent); err != nil {
-								mu.Lock()
-								if firstErr == nil {
-									firstErr = err
-								}
-								mu.Unlock()
-							}
-						}
-						mTilesDone.Add(float64(len(c.members)))
-						progress(pass, len(c.members))
-						continue
-					}
-					if polys, rms, iters, ok := psess.Lookup(level.String(), c.key); ok {
-						// Cross-run exact hit: the library stores canonical
-						// (frame-origin) solutions under the same contract
-						// as a checkpoint entry, so reuse is bit-identical.
-						tw.Emit(trace.TileLibExact, pass, j.core, len(c.members), iters, rms, "")
-						cr := classResult{rms: rms, iters: iters, libExact: true}
-						if canonical {
-							cr.polys = polys
-						} else {
-							cr.polys = geom.TranslatePolygons(polys, origin)
-						}
-						classRes[ci] = cr
-						if ckpt != nil {
-							if err := ckpt.add(pass, c.key, CheckpointEntry{Polys: polys, RMS: rms, Iters: iters}); err != nil {
-								mu.Lock()
-								if firstErr == nil {
-									firstErr = err
-								}
-								mu.Unlock()
-							}
-						}
-						mTilesDone.Add(float64(len(c.members)))
-						progress(pass, len(c.members))
-						continue
-					}
-					// Canonical (frame-origin) geometry for the library's
-					// similarity probe and the post-solve append; classes
-					// with multiple members are already canonical.
+		// One call per class, each on whichever goroutine the compute
+		// budget has for it: the caller plus up to one extra per spare
+		// core. A pass that holds every core makes the imaging fan-outs
+		// underneath run inline; as its tail drains they fan out again.
+		solve := func(worker, ci int) {
+			// Worker 0 is the coordinator's ring; solving goroutines
+			// record on rings 1 and up.
+			tw := f.Tracer.Worker(int32(worker) + 1)
+			c := classes[ci]
+			if cerr := ctx.Err(); cerr != nil {
+				// Run cancelled: drain the queue without working.
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("core: pass %d: %w", pass, cerr)
+				}
+				mu.Unlock()
+				return
+			}
+			j := jobs[c.rep]
+			core := j.core
+			active := j.active
+			haloPolys := contexts[c.rep]
+			canonical := len(c.members) > 1
+			origin := geom.Pt(core.X0, core.Y0)
+			if canonical {
+				// Canonical placement: tile origin at (0,0).
+				shift := geom.Pt(-core.X0, -core.Y0)
+				core = core.Translate(shift)
+				active = geom.TranslatePolygons(active, shift)
+				haloPolys = geom.TranslatePolygons(haloPolys, shift)
+			}
+			if ent, ok := ckptLookup(ckpt, pass, c.key); ok {
+				// Finished in a previous (checkpointed) run:
+				// restore instead of correcting. Entries are
+				// canonical; singletons translate back in place.
+				tw.Emit(trace.TileResumed, pass, j.core, len(c.members), ent.Iters, ent.RMS, "")
+				cr := classResult{rms: ent.RMS, iters: ent.Iters, resumed: true}
+				if canonical {
+					cr.polys = ent.Polys
+				} else {
+					cr.polys = geom.TranslatePolygons(ent.Polys, origin)
+				}
+				classRes[ci] = cr
+				mTilesDone.Add(float64(len(c.members)))
+				progress(pass, len(c.members))
+				return
+			}
+			if ent, ok := remote[c.key]; ok {
+				// Solved by a cluster worker: entries arrive in the
+				// canonical checkpoint format, so folding one is the
+				// resume path with a different source. Remote entries
+				// are always clean engine solutions (workers report
+				// degraded classes as unsolved), so they are
+				// checkpoint and library material like a local solve.
+				tw.Emit(trace.TileRemote, pass, j.core, len(c.members), ent.Iters, ent.RMS, "")
+				cr := classResult{rms: ent.RMS, iters: ent.Iters, remote: true}
+				if canonical {
+					cr.polys = ent.Polys
+				} else {
+					cr.polys = geom.TranslatePolygons(ent.Polys, origin)
+				}
+				classRes[ci] = cr
+				if psess != nil {
 					cActive, cHalo := active, haloPolys
-					if psess != nil && !canonical {
+					if !canonical {
 						shift := geom.Pt(-core.X0, -core.Y0)
 						cActive = geom.TranslatePolygons(active, shift)
 						cHalo = geom.TranslatePolygons(haloPolys, shift)
 					}
-					if sr, ok := psess.Similar(level.String(), tile, cActive, cHalo); ok {
-						// Similarity hit: a stored solution matched under a
-						// frame-preserving orientation and passed the
-						// halo-validity check. The carried solution is
-						// engine-equivalent within ConvergeEps, not
-						// bit-identical — fragmentation is not orientation-
-						// covariant — so it is accounted separately.
-						tw.Emit(trace.TileLibSimilar, pass, j.core, len(c.members), sr.Iters, sr.RMS, "")
-						cr := classResult{rms: sr.RMS, iters: sr.Iters, libSimilar: true}
-						if canonical {
-							cr.polys = sr.Polys
-						} else {
-							cr.polys = geom.TranslatePolygons(sr.Polys, origin)
-						}
-						classRes[ci] = cr
-						if ckpt != nil {
-							if err := ckpt.add(pass, c.key, CheckpointEntry{Polys: sr.Polys, RMS: sr.RMS, Iters: sr.Iters}); err != nil {
-								mu.Lock()
-								if firstErr == nil {
-									firstErr = err
-								}
-								mu.Unlock()
-							}
-						}
-						mTilesDone.Add(float64(len(c.members)))
-						progress(pass, len(c.members))
-						continue
-					}
-					window := core.Grow(halo)
-					// Everything is clipped to core + halo, so the window
-					// never exceeds tile + 2*halo regardless of how long
-					// the original wires are.
-					mWorkersBusy.Add(1)
-					tw.Emit(trace.SolveBegin, pass, j.core, len(c.members), 0, 0, "")
-					tc0 := time.Now()
-					cr := f.correctClass(ctx, level, active, haloPolys, core, window, tw, pass, j.core)
-					mTileSeconds.Observe(time.Since(tc0).Seconds())
-					solveDetail := cr.degraded
-					if cr.err != nil {
-						solveDetail = "aborted: " + cr.err.Error()
-					}
-					tw.Emit(trace.SolveEnd, pass, j.core, len(c.members), cr.iters, cr.rms, solveDetail)
-					if cr.degraded != "" {
-						tw.Emit(trace.TileDegrade, pass, j.core, len(c.members), 0, 0, cr.degraded+": "+cr.degErr)
-					}
-					mWorkersBusy.Add(-1)
-					mTilesDone.Add(float64(len(c.members)))
-					progress(pass, len(c.members))
-					if cr.err != nil {
+					psess.Append(level.String(), c.key, tile, cActive, cHalo, ent.Polys, ent.RMS, ent.Iters)
+				}
+				if ckpt != nil {
+					if err := ckpt.add(pass, c.key, ent); err != nil {
 						mu.Lock()
 						if firstErr == nil {
-							firstErr = fmt.Errorf("core: pass %d tile %v: %w", pass, jobs[c.rep].core, cr.err)
+							firstErr = err
 						}
 						mu.Unlock()
-						continue
-					}
-					classRes[ci] = cr
-					if (ckpt != nil || psess != nil) && cr.degraded == "" {
-						// Persist the canonical solution — to the checkpoint
-						// for resume, and to the pattern library for future
-						// runs. Degraded results are skipped on purpose: a
-						// resume re-attempts them, so fault-free resumes
-						// reproduce the fault-free output, and the library
-						// never serves a fallback as a solution. Similarity-
-						// derived results never reach here, so the library
-						// only ever holds engine-solved patterns (no
-						// derived-from-derived drift).
-						canonPolys := cr.polys
-						if !canonical {
-							canonPolys = geom.TranslatePolygons(cr.polys, geom.Pt(-origin.X, -origin.Y))
-						}
-						psess.Append(level.String(), c.key, tile, cActive, cHalo, canonPolys, cr.rms, cr.iters)
-						if ckpt != nil {
-							err := ckpt.add(pass, c.key, CheckpointEntry{Polys: canonPolys, RMS: cr.rms, Iters: cr.iters})
-							if err != nil {
-								mu.Lock()
-								if firstErr == nil {
-									firstErr = err
-								}
-								mu.Unlock()
-							}
-						}
 					}
 				}
-			}(int32(w))
+				mTilesDone.Add(float64(len(c.members)))
+				progress(pass, len(c.members))
+				return
+			}
+			if polys, rms, iters, ok := psess.Lookup(level.String(), c.key); ok {
+				// Cross-run exact hit: the library stores canonical
+				// (frame-origin) solutions under the same contract
+				// as a checkpoint entry, so reuse is bit-identical.
+				tw.Emit(trace.TileLibExact, pass, j.core, len(c.members), iters, rms, "")
+				cr := classResult{rms: rms, iters: iters, libExact: true}
+				if canonical {
+					cr.polys = polys
+				} else {
+					cr.polys = geom.TranslatePolygons(polys, origin)
+				}
+				classRes[ci] = cr
+				if ckpt != nil {
+					if err := ckpt.add(pass, c.key, CheckpointEntry{Polys: polys, RMS: rms, Iters: iters}); err != nil {
+						mu.Lock()
+						if firstErr == nil {
+							firstErr = err
+						}
+						mu.Unlock()
+					}
+				}
+				mTilesDone.Add(float64(len(c.members)))
+				progress(pass, len(c.members))
+				return
+			}
+			// Canonical (frame-origin) geometry for the library's
+			// similarity probe and the post-solve append; classes
+			// with multiple members are already canonical.
+			cActive, cHalo := active, haloPolys
+			if psess != nil && !canonical {
+				shift := geom.Pt(-core.X0, -core.Y0)
+				cActive = geom.TranslatePolygons(active, shift)
+				cHalo = geom.TranslatePolygons(haloPolys, shift)
+			}
+			if sr, ok := psess.Similar(level.String(), tile, cActive, cHalo); ok {
+				// Similarity hit: a stored solution matched under a
+				// frame-preserving orientation and passed the
+				// halo-validity check. The carried solution is
+				// engine-equivalent within ConvergeEps, not
+				// bit-identical — fragmentation is not orientation-
+				// covariant — so it is accounted separately.
+				tw.Emit(trace.TileLibSimilar, pass, j.core, len(c.members), sr.Iters, sr.RMS, "")
+				cr := classResult{rms: sr.RMS, iters: sr.Iters, libSimilar: true}
+				if canonical {
+					cr.polys = sr.Polys
+				} else {
+					cr.polys = geom.TranslatePolygons(sr.Polys, origin)
+				}
+				classRes[ci] = cr
+				if ckpt != nil {
+					if err := ckpt.add(pass, c.key, CheckpointEntry{Polys: sr.Polys, RMS: sr.RMS, Iters: sr.Iters}); err != nil {
+						mu.Lock()
+						if firstErr == nil {
+							firstErr = err
+						}
+						mu.Unlock()
+					}
+				}
+				mTilesDone.Add(float64(len(c.members)))
+				progress(pass, len(c.members))
+				return
+			}
+			window := core.Grow(halo)
+			// Everything is clipped to core + halo, so the window
+			// never exceeds tile + 2*halo regardless of how long
+			// the original wires are.
+			mWorkersBusy.Add(1)
+			tw.Emit(trace.SolveBegin, pass, j.core, len(c.members), 0, 0, "")
+			tc0 := time.Now()
+			cr := f.correctClass(ctx, level, active, haloPolys, core, window, tw, pass, j.core)
+			mTileSeconds.Observe(time.Since(tc0).Seconds())
+			solveDetail := cr.degraded
+			if cr.err != nil {
+				solveDetail = "aborted: " + cr.err.Error()
+			}
+			tw.Emit(trace.SolveEnd, pass, j.core, len(c.members), cr.iters, cr.rms, solveDetail)
+			if cr.degraded != "" {
+				tw.Emit(trace.TileDegrade, pass, j.core, len(c.members), 0, 0, cr.degraded+": "+cr.degErr)
+			}
+			mWorkersBusy.Add(-1)
+			mTilesDone.Add(float64(len(c.members)))
+			progress(pass, len(c.members))
+			if cr.err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("core: pass %d tile %v: %w", pass, jobs[c.rep].core, cr.err)
+				}
+				mu.Unlock()
+				return
+			}
+			classRes[ci] = cr
+			if (ckpt != nil || psess != nil) && cr.degraded == "" {
+				// Persist the canonical solution — to the checkpoint
+				// for resume, and to the pattern library for future
+				// runs. Degraded results are skipped on purpose: a
+				// resume re-attempts them, so fault-free resumes
+				// reproduce the fault-free output, and the library
+				// never serves a fallback as a solution. Similarity-
+				// derived results never reach here, so the library
+				// only ever holds engine-solved patterns (no
+				// derived-from-derived drift).
+				canonPolys := cr.polys
+				if !canonical {
+					canonPolys = geom.TranslatePolygons(cr.polys, geom.Pt(-origin.X, -origin.Y))
+				}
+				psess.Append(level.String(), c.key, tile, cActive, cHalo, canonPolys, cr.rms, cr.iters)
+				if ckpt != nil {
+					err := ckpt.add(pass, c.key, CheckpointEntry{Polys: canonPolys, RMS: cr.rms, Iters: cr.iters})
+					if err != nil {
+						mu.Lock()
+						if firstErr == nil {
+							firstErr = err
+						}
+						mu.Unlock()
+					}
+				}
+			}
 		}
-		for ci := range classes {
-			classCh <- ci
+		if parallel {
+			par.Each(len(classes), solve)
+		} else {
+			for ci := range classes {
+				solve(0, ci)
+			}
 		}
-		close(classCh)
-		wg.Wait()
 		if firstErr != nil {
 			passSpan.End()
 			st.Seconds = time.Since(t0).Seconds()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"goopc/internal/geom"
+	"goopc/internal/par"
 )
 
 // twoIsolatedClusters builds two translation-identical clusters three
@@ -129,14 +130,24 @@ func TestCorrectWindowedParallelBitwiseEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resP, _, err := f.CorrectWindowed(target, L2, 2500, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Not just the same region: the same polygons in the same order
-	// with the same vertices, so repeated runs write identical GDS.
-	if !reflect.DeepEqual(resS.Corrected, resP.Corrected) {
-		t.Error("parallel output is not bitwise equal to serial output")
+	// At every share of the compute budget another level could have
+	// left the pass — nothing (the tile pass and all imaging under it
+	// run on this goroutine) up to every core.
+	for grant := 0; grant <= 3; grant++ {
+		held := par.Acquire(3 - grant)
+		if held != 3-grant {
+			t.Fatalf("could not pin the budget at grant %d (got %d)", grant, held)
+		}
+		resP, _, err := f.CorrectWindowed(target, L2, 2500, true)
+		par.Release(held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Not just the same region: the same polygons in the same order
+		// with the same vertices, so repeated runs write identical GDS.
+		if !reflect.DeepEqual(resS.Corrected, resP.Corrected) {
+			t.Errorf("parallel output at grant %d is not bitwise equal to serial output", grant)
+		}
 	}
 }
 

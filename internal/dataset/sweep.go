@@ -229,6 +229,7 @@ func runSample(ctx context.Context, s Sample, opt Options) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
+	defer im.Release()
 	rec.Contours = resist.Contours(im, flow.Threshold, window)
 	for _, fl := range frags {
 		for _, f := range fl {

@@ -92,10 +92,9 @@ func revPairs(n int) [][2]int32 {
 	if v, ok := revCache.Load(n); ok {
 		return v.([][2]int32)
 	}
-	shift := bits.UintSize - uint(bits.Len(uint(n-1)))
 	var pairs [][2]int32
 	for i := 0; i < n; i++ {
-		j := int(bits.Reverse(uint(i)) >> shift)
+		j := BitReverse(i, n)
 		if j > i {
 			pairs = append(pairs, [2]int32{int32(i), int32(j)})
 		}
@@ -168,12 +167,27 @@ func transformT(x []complex128, t *twTables) { transformTs(x, t, 1) }
 // 1/N here. Transforms too short to reach a foldable stage (n < 8)
 // scale in a trailing loop instead.
 func transformTs(x []complex128, t *twTables, scale float64) {
-	n := len(x)
 	// Bit-reversal permutation via the precomputed swap list.
 	for _, p := range t.rev {
 		i, j := p[0], p[1]
 		x[i], x[j] = x[j], x[i]
 	}
+	butterflies(x, t, scale)
+}
+
+// BitReverse returns i with its log2(n) low bits reversed: where cell
+// i of a length-n (power of two) vector sits after the radix-2 input
+// permutation.
+func BitReverse(i, n int) int {
+	return int(bits.Reverse(uint(i)) >> (bits.UintSize - uint(bits.Len(uint(n-1)))))
+}
+
+// butterflies is transformTs without the permutation: x must already be
+// in bit-reversed order (cell i at x[BitReverse(i, n)]). A caller that
+// scatters or gathers its input anyway places it there for free and
+// saves the swap pass; the butterflies see the same values either way.
+func butterflies(x []complex128, t *twTables, scale float64) {
+	n := len(x)
 	if n < 8 {
 		if n >= 4 {
 			stage24(x, t.w1)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -358,37 +359,135 @@ func TestGridAtSetClone(t *testing.T) {
 	}
 }
 
-// TestInverse2DPRowsMatchesFull: for spectra supported on a known row
-// set, the row-pruned inverse must be bit-identical to the full one.
-func TestInverse2DPRowsMatchesFull(t *testing.T) {
-	const w, h = 64, 32
+// TestInverseBandMatchesFull: for spectra supported on a known row set,
+// every sink of the fused band inverse must equal the sink applied to
+// the full inverse of the zero-padded grid, bit for bit — on Hermitian
+// and general spectra, square and non-square grids, packed rows in any
+// order, and at any worker count.
+func TestInverseBandMatchesFull(t *testing.T) {
+	// Enough budget for the multi-worker cases to really fan out.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(11))
-	rows := []int{0, 1, 2, 3, 29, 30, 31}
-	full := NewGrid(w, h)
-	for _, y := range rows {
-		for x := 0; x < w; x++ {
-			full.Data[y*w+x] = complex(rng.NormFloat64(), rng.NormFloat64())
+	for _, tc := range []struct {
+		w, h int
+		rows []int
+	}{
+		{64, 32, []int{0, 1, 2, 3, 29, 30, 31}},
+		{32, 64, []int{63, 0, 5, 62}},
+		{16, 16, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+		{4, 8, []int{1, 7}},
+		{8, 4, nil},
+	} {
+		for _, hermitian := range []bool{false, true} {
+			w, h := tc.w, tc.h
+			full := NewGrid(w, h)
+			for _, y := range tc.rows {
+				for x := 0; x < w; x++ {
+					full.Data[y*w+x] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+			}
+			if hermitian {
+				// Symmetrize: F(-k) = conj F(k); the listed row sets are
+				// closed under negation where it matters, other rows
+				// just lose their partner's contribution.
+				for _, y := range tc.rows {
+					for x := 0; x < w; x++ {
+						my, mx := (h-y)%h, (w-x)%w
+						v := full.Data[y*w+x]
+						full.Data[my*w+mx] = complex(real(v), -imag(v))
+					}
+				}
+			}
+			want := full.Clone()
+			p, err := NewPlan2D(w, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Inverse2DP(want); err != nil {
+				t.Fatal(err)
+			}
+			rows := tc.rows
+			if hermitian {
+				rows = nil
+				for y := 0; y < h; y++ {
+					for x := 0; x < w; x++ {
+						if full.Data[y*w+x] != 0 {
+							rows = append(rows, y)
+							break
+						}
+					}
+				}
+			}
+			for _, workers := range []int{1, 3, 8} {
+				p.Workers = workers
+				for _, sink := range []Sink{SinkReal, SinkNorm, SinkAddNorm} {
+					band := NewGrid(w, len(rows))
+					for i, y := range rows {
+						for x := 0; x < w; x++ {
+							band.Data[i*w+BitReverse(x, w)] = full.Data[y*w+x]
+						}
+					}
+					dst := make([]float64, w*h)
+					for i := range dst {
+						dst[i] = float64(i%5) + 0.25
+					}
+					if err := p.InverseBand(dst, band, rows, sink); err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range want.Data {
+						re, im := real(v), imag(v)
+						exp := re
+						switch sink {
+						case SinkNorm:
+							exp = re*re + im*im
+						case SinkAddNorm:
+							exp = float64(i%5) + 0.25
+							exp += re*re + im*im
+						}
+						if dst[i] != exp {
+							t.Fatalf("%dx%d hermitian=%v workers=%d sink=%d: cell %d = %v, want %v",
+								w, h, hermitian, workers, sink, i, dst[i], exp)
+						}
+					}
+				}
+			}
 		}
 	}
-	pruned := NewGrid(w, h)
-	copy(pruned.Data, full.Data)
-	p, err := NewPlan2D(w, h)
-	if err != nil {
-		t.Fatal(err)
+	p, _ := NewPlan2D(8, 8)
+	dst := make([]float64, 64)
+	if err := p.InverseBand(dst, NewGrid(8, 1), []int{8}, SinkReal); err == nil {
+		t.Error("out-of-range row accepted")
 	}
-	if err := p.Inverse2DP(full); err != nil {
-		t.Fatal(err)
+	if err := p.InverseBand(dst, NewGrid(8, 2), []int{0}, SinkReal); err == nil {
+		t.Error("band/rows size mismatch accepted")
 	}
-	if err := p.Inverse2DPRows(pruned, rows); err != nil {
-		t.Fatal(err)
+	if err := p.InverseBand(dst[:60], NewGrid(8, 1), []int{0}, SinkReal); err == nil {
+		t.Error("short output accepted")
 	}
-	for i := range full.Data {
-		if full.Data[i] != pruned.Data[i] {
-			t.Fatalf("bit mismatch at %d: %v vs %v", i, full.Data[i], pruned.Data[i])
+	narrow, _ := NewPlan2D(2, 8)
+	if err := narrow.InverseBand(dst[:16], NewGrid(2, 1), []int{0}, SinkReal); err == nil {
+		t.Error("grid narrower than a column block accepted")
+	}
+}
+
+// TestGridPoolRawKeepsContract: the raw getter may hand out stale
+// cells, the zeroing getter never does — even right after a raw user
+// dirtied the pooled grid.
+func TestGridPoolRawKeepsContract(t *testing.T) {
+	g := GetGridRaw(8, 4)
+	if g.W != 8 || g.H != 4 || len(g.Data) != 32 {
+		t.Fatalf("raw grid geometry %dx%d len %d", g.W, g.H, len(g.Data))
+	}
+	for i := range g.Data {
+		g.Data[i] = complex(3, 4)
+	}
+	PutGrid(g)
+	z := GetGrid(8, 4)
+	defer PutGrid(z)
+	for i, v := range z.Data {
+		if v != 0 {
+			t.Fatalf("zeroing getter returned dirty cell %d: %v", i, v)
 		}
-	}
-	if err := p.Inverse2DPRows(pruned, []int{h}); err == nil {
-		t.Fatal("out-of-range row accepted")
 	}
 }
 

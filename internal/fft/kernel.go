@@ -37,15 +37,10 @@ var (
 	// kernelName is the active kernel, fixed at init.
 	kernelName = kernelGeneric
 
-	// complex128 stage kernels.
+	// Stage kernels.
 	stage24    = stage24Generic
 	stage      = stageGeneric
 	stageScale = stageScaleGeneric
-
-	// complex64 stage kernels.
-	stage2432    = stage2432Generic
-	stage32      = stage32Generic
-	stageScale32 = stageScale32Generic
 
 	// mKernelDispatch counts transform entries (1-D calls and 2-D plan
 	// applications) dispatched to the active kernel; the series name

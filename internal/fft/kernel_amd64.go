@@ -7,10 +7,9 @@ package fft
 // by VADDSUBPD, never FMA — so every component is rounded exactly where
 // the pure-Go reference rounds it and the outputs match the generic
 // kernels value-for-value. Wrappers guard the alignment invariants the
-// assembly assumes (half a multiple of 4 for complex128 stages and of
-// 4 for complex64 stages, grid length a multiple of the stage size)
-// and fall back to the generic kernels otherwise; with the tables the
-// transforms build, the guards never fire.
+// assembly assumes (half a multiple of 4, grid length a multiple of the
+// stage size) and fall back to the generic kernels otherwise; with the
+// tables the transforms build, the guards never fire.
 
 // cpuSupportsAVX2 probes CPUID for AVX2 plus OS-enabled AVX state
 // (OSXSAVE, XCR0 XMM|YMM).
@@ -25,15 +24,6 @@ func stageScaleAVX2(x *complex128, n, size int, wt *complex128, scale float64)
 //go:noescape
 func stage24AVX2(x *complex128, n int, w1r, w1i float64)
 
-//go:noescape
-func stage32AVX2(x *complex64, n, size int, wt *complex64)
-
-//go:noescape
-func stageScale32AVX2(x *complex64, n, size int, wt *complex64, scale float32)
-
-//go:noescape
-func stage2432AVX2(x *complex64, n int, w1r, w1i float32)
-
 // installArchKernels swaps in the AVX2 kernels when the CPU and OS
 // support them; pre-AVX2 hardware keeps the pure-Go reference.
 func installArchKernels() {
@@ -44,9 +34,6 @@ func installArchKernels() {
 	stage24 = stage24Asm
 	stage = stageAsm
 	stageScale = stageScaleAsm
-	stage2432 = stage2432Asm
-	stage32 = stage32Asm
-	stageScale32 = stageScale32Asm
 }
 
 func stageAsm(x []complex128, size int, wt []complex128) {
@@ -73,30 +60,4 @@ func stage24Asm(x []complex128, w1 complex128) {
 		return
 	}
 	stage24AVX2(&x[0], len(x), real(w1), imag(w1))
-}
-
-func stage32Asm(x []complex64, size int, wt []complex64) {
-	half := size >> 1
-	if half < 4 || half&3 != 0 || len(wt) != half || len(x) == 0 || len(x)&(size-1) != 0 {
-		stage32Generic(x, size, wt)
-		return
-	}
-	stage32AVX2(&x[0], len(x), size, &wt[0])
-}
-
-func stageScale32Asm(x []complex64, size int, wt []complex64, scale float32) {
-	half := size >> 1
-	if half < 4 || half&3 != 0 || len(wt) != half || len(x) == 0 || len(x)&(size-1) != 0 {
-		stageScale32Generic(x, size, wt, scale)
-		return
-	}
-	stageScale32AVX2(&x[0], len(x), size, &wt[0], scale)
-}
-
-func stage2432Asm(x []complex64, w1 complex64) {
-	if len(x) < 4 || len(x)&3 != 0 {
-		stage2432Generic(x, w1)
-		return
-	}
-	stage2432AVX2(&x[0], len(x), real(w1), imag(w1))
 }

@@ -196,133 +196,3 @@ s24:
 	CMPQ BX, CX
 	JB   s24
 	RET
-
-// func stage32AVX2(x *complex64, n, size int, wt *complex64)
-//
-// complex64 radix-2 stage: 4 butterflies per ymm iteration using the
-// single-precision dup/swap/addsub sequence (VMOVSLDUP/VMOVSHDUP).
-TEXT ·stage32AVX2(SB), NOSPLIT, $0-32
-	MOVQ x+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ size+16(FP), DX
-	MOVQ wt+24(FP), SI
-	MOVQ DX, R8
-	SHLQ $2, R8          // halfB = size/2 * 8
-	SHLQ $3, DX          // sizeB = size * 8
-	SHLQ $3, CX          // nB = n * 8
-	XORQ R9, R9
-
-f32block:
-	LEAQ (DI)(R9*1), R10
-	LEAQ (R10)(R8*1), R11
-	XORQ BX, BX
-
-f32k:
-	VMOVUPS (R11)(BX*1), Y0    // hi, complexes 0-3
-	VMOVUPS (SI)(BX*1), Y2     // wt
-	VMOVSLDUP Y2, Y4           // [wr, wr] dup
-	VMOVSHDUP Y2, Y2           // [wi, wi] dup
-	VPERMILPS $0xB1, Y0, Y6    // hi re/im swapped
-	VMULPS Y0, Y4, Y4          // t1 = hi * wr
-	VMULPS Y6, Y2, Y6          // t2 = swap(hi) * wi
-	VADDSUBPS Y6, Y4, Y4       // b
-	VMOVUPS (R10)(BX*1), Y8    // lo
-	VADDPS Y4, Y8, Y10
-	VSUBPS Y4, Y8, Y12
-	VMOVUPS Y10, (R10)(BX*1)
-	VMOVUPS Y12, (R11)(BX*1)
-	ADDQ $32, BX
-	CMPQ BX, R8
-	JB   f32k
-	ADDQ DX, R9
-	CMPQ R9, CX
-	JB   f32block
-	VZEROUPPER
-	RET
-
-// func stageScale32AVX2(x *complex64, n, size int, wt *complex64, scale float32)
-TEXT ·stageScale32AVX2(SB), NOSPLIT, $0-36
-	MOVQ x+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ size+16(FP), DX
-	MOVQ wt+24(FP), SI
-	VBROADCASTSS scale+32(FP), Y15
-	MOVQ DX, R8
-	SHLQ $2, R8
-	SHLQ $3, DX
-	SHLQ $3, CX
-	XORQ R9, R9
-
-fs32block:
-	LEAQ (DI)(R9*1), R10
-	LEAQ (R10)(R8*1), R11
-	XORQ BX, BX
-
-fs32k:
-	VMOVUPS (R11)(BX*1), Y0
-	VMOVUPS (SI)(BX*1), Y2
-	VMOVSLDUP Y2, Y4
-	VMOVSHDUP Y2, Y2
-	VPERMILPS $0xB1, Y0, Y6
-	VMULPS Y0, Y4, Y4
-	VMULPS Y6, Y2, Y6
-	VADDSUBPS Y6, Y4, Y4
-	VMOVUPS (R10)(BX*1), Y8
-	VADDPS Y4, Y8, Y10
-	VSUBPS Y4, Y8, Y12
-	VMULPS Y15, Y10, Y10
-	VMULPS Y15, Y12, Y12
-	VMOVUPS Y10, (R10)(BX*1)
-	VMOVUPS Y12, (R11)(BX*1)
-	ADDQ $32, BX
-	CMPQ BX, R8
-	JB   fs32k
-	ADDQ DX, R9
-	CMPQ R9, CX
-	JB   fs32block
-	VZEROUPPER
-	RET
-
-// func stage2432AVX2(x *complex64, n int, w1r, w1i float32)
-//
-// complex64 fused size-2/4 stages, one 4-complex group (one ymm) per
-// iteration. The in-lane pair butterflies produce [b0,b1|b2,b3]; the
-// cross-lane second stage multiplies [b2,b3] by [1, w1] — the exact
-// unit twiddle can only flip zero signs — and recombines lanes.
-TEXT ·stage2432AVX2(SB), NOSPLIT, $0-24
-	MOVQ x+0(FP), DI
-	MOVQ n+8(FP), CX
-	SHLQ $3, CX                // nB
-	// Y14 = [1, 0, w1r, w1i | 1, 0, w1r, w1i]
-	MOVSS w1r+16(FP), X2
-	MOVSS w1i+20(FP), X3
-	VUNPCKLPS X3, X2, X2       // [w1r, w1i, 0, 0]
-	MOVL $0x3F800000, AX
-	MOVQ AX, X4                // [1.0f, 0f]
-	VMOVLHPS X2, X4, X5        // [1, 0, w1r, w1i]
-	VINSERTF128 $1, X5, Y5, Y14
-	VMOVSLDUP Y14, Y12         // [1, 1, w1r, w1r | ...]
-	VMOVSHDUP Y14, Y13         // [0, 0, w1i, w1i | ...]
-	XORQ BX, BX
-
-s2432:
-	VMOVUPS (DI)(BX*1), Y0     // [a0, a1 | a2, a3]
-	VPERMILPS $0x4E, Y0, Y1    // [a1, a0 | a3, a2]
-	VADDPS Y1, Y0, Y2          // s: [a0+a1, . | a2+a3, .]
-	VSUBPS Y1, Y0, Y3          // d: [a0-a1, . | a2-a3, .]
-	VSHUFPS $0x44, Y3, Y2, Y2  // [b0, b1 | b2, b3]
-	VPERM2F128 $0x00, Y2, Y2, Y4 // [b0, b1 | b0, b1]
-	VPERM2F128 $0x11, Y2, Y2, Y5 // [b2, b3 | b2, b3]
-	VPERMILPS $0xB1, Y5, Y8    // swap re/im
-	VMULPS Y5, Y12, Y6         // t1 = [b2, b3] * [1, w1r]
-	VMULPS Y8, Y13, Y7         // t2 = swap * [0, w1i]
-	VADDSUBPS Y7, Y6, Y6       // [b2, t3 | b2, t3]
-	VADDPS Y6, Y4, Y7          // [b0+b2, b1+t3 | ...]
-	VSUBPS Y6, Y4, Y8          // [b0-b2, b1-t3 | ...]
-	VPERM2F128 $0x20, Y8, Y7, Y7 // [b0+b2, b1+t3 | b0-b2, b1-t3]
-	VMOVUPS Y7, (DI)(BX*1)
-	ADDQ $32, BX
-	CMPQ BX, CX
-	JB   s2432
-	VZEROUPPER
-	RET

@@ -22,15 +22,6 @@ func stageScaleNEON(x *complex128, n, size int, wt *complex128, scale float64)
 //go:noescape
 func stage24NEON(x *complex128, n int, w1r, w1i float64)
 
-//go:noescape
-func stage32NEON(x *complex64, n, size int, wt *complex64)
-
-//go:noescape
-func stageScale32NEON(x *complex64, n, size int, wt *complex64, scale float32)
-
-//go:noescape
-func stage2432NEON(x *complex64, n int, w1r, w1i float32)
-
 // installArchKernels swaps in the NEON kernels unconditionally: ASIMD
 // is part of the arm64 baseline, so there is nothing to probe.
 func installArchKernels() {
@@ -38,9 +29,6 @@ func installArchKernels() {
 	stage24 = stage24NAsm
 	stage = stageNAsm
 	stageScale = stageScaleNAsm
-	stage2432 = stage2432NAsm
-	stage32 = stage32NAsm
-	stageScale32 = stageScale32NAsm
 }
 
 func stageNAsm(x []complex128, size int, wt []complex128) {
@@ -67,30 +55,4 @@ func stage24NAsm(x []complex128, w1 complex128) {
 		return
 	}
 	stage24NEON(&x[0], len(x), real(w1), imag(w1))
-}
-
-func stage32NAsm(x []complex64, size int, wt []complex64) {
-	half := size >> 1
-	if half < 4 || half&3 != 0 || len(wt) != half || len(x) == 0 || len(x)&(size-1) != 0 {
-		stage32Generic(x, size, wt)
-		return
-	}
-	stage32NEON(&x[0], len(x), size, &wt[0])
-}
-
-func stageScale32NAsm(x []complex64, size int, wt []complex64, scale float32) {
-	half := size >> 1
-	if half < 4 || half&3 != 0 || len(wt) != half || len(x) == 0 || len(x)&(size-1) != 0 {
-		stageScale32Generic(x, size, wt, scale)
-		return
-	}
-	stageScale32NEON(&x[0], len(x), size, &wt[0], scale)
-}
-
-func stage2432NAsm(x []complex64, w1 complex64) {
-	if len(x) < 4 || len(x)&3 != 0 {
-		stage2432Generic(x, w1)
-		return
-	}
-	stage2432NEON(&x[0], len(x), real(w1), imag(w1))
 }

@@ -22,12 +22,6 @@
 #define FSUB2D(m, n, d) WORD $(0x4EE0D400 | ((m)<<16) | ((n)<<5) | (d))
 // FMUL Vd.2D, Vn.2D, Vm.2D
 #define FMUL2D(m, n, d) WORD $(0x6E60DC00 | ((m)<<16) | ((n)<<5) | (d))
-// FADD Vd.4S, Vn.4S, Vm.4S
-#define FADD4S(m, n, d) WORD $(0x4E20D400 | ((m)<<16) | ((n)<<5) | (d))
-// FSUB Vd.4S, Vn.4S, Vm.4S
-#define FSUB4S(m, n, d) WORD $(0x4EA0D400 | ((m)<<16) | ((n)<<5) | (d))
-// FMUL Vd.4S, Vn.4S, Vm.4S
-#define FMUL4S(m, n, d) WORD $(0x6E20DC00 | ((m)<<16) | ((n)<<5) | (d))
 
 // SIGNMASK64 sets V28 = [0x8000000000000000, 0]: XORing flips the sign
 // of a complex128's real lane only.
@@ -37,12 +31,6 @@
 	MOVD $0, R7                  \
 	VMOV R7, V28.D[1]
 
-// SIGNMASK32 sets V28 = [0x80000000, 0, 0x80000000, 0]: flips the sign
-// of the real lane of each packed complex64.
-#define SIGNMASK32 \
-	MOVD $0x80000000, R7 \
-	VMOV R7, V28.D[0]    \
-	VMOV R7, V28.D[1]
 
 // func stageNEON(x *complex128, n, size int, wt *complex128)
 //
@@ -188,156 +176,4 @@ n24:
 	VST1.P [V20.D2, V21.D2, V22.D2, V23.D2], 64(R0)
 	CMP    R3, R0
 	BLT    n24
-	RET
-
-// func stage32NEON(x *complex64, n, size int, wt *complex64)
-//
-// complex64 radix-2 stage: 4 butterflies (2 q-registers, 2 packed
-// complexes each) per inner iteration. Real/imag dups use TRN1/TRN2 of
-// the twiddle vector with itself; the re/im swap is REV64 on .S4.
-TEXT ·stage32NEON(SB), NOSPLIT, $0-32
-	MOVD x+0(FP), R0
-	MOVD n+8(FP), R1
-	MOVD size+16(FP), R2
-	MOVD wt+24(FP), R3
-	LSL  $2, R2, R4      // halfB = size/2 * 8
-	LSL  $3, R2, R5      // sizeB
-	LSL  $3, R1, R6      // nB
-	SIGNMASK32
-	MOVD $0, R8
-
-f32block:
-	ADD  R8, R0, R9
-	ADD  R4, R9, R10
-	MOVD R3, R11
-	MOVD R4, R12
-
-f32k:
-	VLD1   (R10), [V0.S4, V1.S4]     // hi h0..h3
-	VLD1.P 32(R11), [V2.S4, V3.S4]   // w0..w3
-	VTRN1  V2.S4, V2.S4, V4.S4       // [w0r, w0r, w1r, w1r]
-	VTRN1  V3.S4, V3.S4, V5.S4
-	VTRN2  V2.S4, V2.S4, V6.S4       // [w0i, w0i, w1i, w1i]
-	VTRN2  V3.S4, V3.S4, V7.S4
-	VREV64 V0.S4, V16.S4             // swap re/im per complex
-	VREV64 V1.S4, V17.S4
-	FMUL4S(4, 0, 8)                  // t1 = hi * wr
-	FMUL4S(5, 1, 9)
-	FMUL4S(6, 16, 10)                // t2 = swap(hi) * wi
-	FMUL4S(7, 17, 11)
-	VEOR   V28.B16, V10.B16, V10.B16
-	VEOR   V28.B16, V11.B16, V11.B16
-	FADD4S(10, 8, 8)                 // b
-	FADD4S(11, 9, 9)
-	VLD1   (R9), [V12.S4, V13.S4]    // lo
-	FADD4S(8, 12, 20)
-	FADD4S(9, 13, 21)
-	FSUB4S(8, 12, 22)
-	FSUB4S(9, 13, 23)
-	VST1.P [V20.S4, V21.S4], 32(R9)
-	VST1.P [V22.S4, V23.S4], 32(R10)
-	SUBS   $32, R12, R12
-	BNE    f32k
-	ADD    R5, R8, R8
-	CMP    R6, R8
-	BLT    f32block
-	RET
-
-// func stageScale32NEON(x *complex64, n, size int, wt *complex64, scale float32)
-TEXT ·stageScale32NEON(SB), NOSPLIT, $0-36
-	MOVD  x+0(FP), R0
-	MOVD  n+8(FP), R1
-	MOVD  size+16(FP), R2
-	MOVD  wt+24(FP), R3
-	FMOVS scale+32(FP), F29
-	VDUP  V29.S[0], V29.S4
-	LSL   $2, R2, R4
-	LSL   $3, R2, R5
-	LSL   $3, R1, R6
-	SIGNMASK32
-	MOVD  $0, R8
-
-fs32block:
-	ADD  R8, R0, R9
-	ADD  R4, R9, R10
-	MOVD R3, R11
-	MOVD R4, R12
-
-fs32k:
-	VLD1   (R10), [V0.S4, V1.S4]
-	VLD1.P 32(R11), [V2.S4, V3.S4]
-	VTRN1  V2.S4, V2.S4, V4.S4
-	VTRN1  V3.S4, V3.S4, V5.S4
-	VTRN2  V2.S4, V2.S4, V6.S4
-	VTRN2  V3.S4, V3.S4, V7.S4
-	VREV64 V0.S4, V16.S4
-	VREV64 V1.S4, V17.S4
-	FMUL4S(4, 0, 8)
-	FMUL4S(5, 1, 9)
-	FMUL4S(6, 16, 10)
-	FMUL4S(7, 17, 11)
-	VEOR   V28.B16, V10.B16, V10.B16
-	VEOR   V28.B16, V11.B16, V11.B16
-	FADD4S(10, 8, 8)
-	FADD4S(11, 9, 9)
-	VLD1   (R9), [V12.S4, V13.S4]
-	FADD4S(8, 12, 20)
-	FADD4S(9, 13, 21)
-	FSUB4S(8, 12, 22)
-	FSUB4S(9, 13, 23)
-	FMUL4S(29, 20, 20)
-	FMUL4S(29, 21, 21)
-	FMUL4S(29, 22, 22)
-	FMUL4S(29, 23, 23)
-	VST1.P [V20.S4, V21.S4], 32(R9)
-	VST1.P [V22.S4, V23.S4], 32(R10)
-	SUBS   $32, R12, R12
-	BNE    fs32k
-	ADD    R5, R8, R8
-	CMP    R6, R8
-	BLT    fs32block
-	RET
-
-// func stage2432NEON(x *complex64, n int, w1r, w1i float32)
-//
-// complex64 fused size-2/4 stages, one 4-complex group (2 q-registers)
-// per iteration. The pair butterflies produce [b0,b1] and [b2,b3] via
-// EXT/ADD/SUB + TRN1; the second stage multiplies [b2,b3] by [1, w1] —
-// the exact unit twiddle can only flip zero signs — and adds/subtracts
-// against [b0,b1].
-TEXT ·stage2432NEON(SB), NOSPLIT, $0-24
-	MOVD  x+0(FP), R0
-	MOVD  n+8(FP), R1
-	// V24 = [1, 0, w1r, w1i]
-	MOVWU w1r+16(FP), R4
-	MOVWU w1i+20(FP), R5
-	ORR   R5<<32, R4, R4
-	VMOV  R4, V24.D[1]
-	MOVD  $0x3F800000, R5 // 1.0f
-	VMOV  R5, V24.D[0]
-	VTRN1 V24.S4, V24.S4, V26.S4 // [1, 1, w1r, w1r]
-	VTRN2 V24.S4, V24.S4, V27.S4 // [0, 0, w1i, w1i]
-	SIGNMASK32
-	ADD   R1<<3, R0, R3  // end pointer
-
-n2432:
-	VLD1   (R0), [V0.S4, V1.S4]      // [a0, a1], [a2, a3]
-	VEXT   $8, V0.B16, V0.B16, V2.B16 // [a1, a0]
-	VEXT   $8, V1.B16, V1.B16, V3.B16 // [a3, a2]
-	FADD4S(2, 0, 4)                  // [b0, b0]
-	FSUB4S(2, 0, 5)                  // [b1, -b1]
-	FADD4S(3, 1, 6)                  // [b2, b2]
-	FSUB4S(3, 1, 7)                  // [b3, -b3]
-	VTRN1  V5.D2, V4.D2, V8.D2       // [b0, b1]
-	VTRN1  V7.D2, V6.D2, V9.D2       // [b2, b3]
-	VREV64 V9.S4, V10.S4
-	FMUL4S(26, 9, 11)                // [b2, b3] * [1re, w1r]
-	FMUL4S(27, 10, 12)               // swap * [0, w1i]
-	VEOR   V28.B16, V12.B16, V12.B16
-	FADD4S(12, 11, 11)               // ht = [b2, t3]
-	FADD4S(11, 8, 20)                // [b0+b2, b1+t3]
-	FSUB4S(11, 8, 21)                // [b0-b2, b1-t3]
-	VST1.P [V20.S4, V21.S4], 32(R0)
-	CMP    R3, R0
-	BLT    n2432
 	RET

@@ -84,77 +84,3 @@ func stageScaleGeneric(x []complex128, size int, wt []complex128, scale float64)
 		}
 	}
 }
-
-// cmul32 multiplies two complex64s in strict float32 arithmetic. Go's
-// native complex64 multiply widens to complex128 and rounds back, a
-// double rounding the single-precision SIMD kernels cannot reproduce;
-// explicit component math pins the complex64 path to one deterministic
-// answer — every product and sum rounded once in float32 — on every
-// platform, assembly or not.
-func cmul32(a, b complex64) complex64 {
-	ar, ai := real(a), imag(a)
-	br, bi := real(b), imag(b)
-	return complex(ar*br-ai*bi, ai*br+ar*bi)
-}
-
-// stage2432Generic is the complex64 fused size-2/4 stage.
-func stage2432Generic(x []complex64, w1 complex64) {
-	for s := 0; s+3 < len(x); s += 4 {
-		a0, a1, a2, a3 := x[s], x[s+1], x[s+2], x[s+3]
-		b0, b1 := a0+a1, a0-a1
-		b2, b3 := a2+a3, a2-a3
-		t3 := cmul32(b3, w1)
-		x[s], x[s+2] = b0+b2, b0-b2
-		x[s+1], x[s+3] = b1+t3, b1-t3
-	}
-}
-
-// stage32Generic is the complex64 radix-2 stage kernel.
-func stage32Generic(x []complex64, size int, wt []complex64) {
-	n := len(x)
-	half := size >> 1
-	for start := 0; start < n; start += size {
-		lo := x[start : start+half : start+half][:len(wt)]
-		hi := x[start+half : start+size : start+size][:len(wt)]
-		k := 0
-		for ; k+3 < len(wt); k += 4 {
-			b0 := cmul32(hi[k], wt[k])
-			b1 := cmul32(hi[k+1], wt[k+1])
-			b2 := cmul32(hi[k+2], wt[k+2])
-			b3 := cmul32(hi[k+3], wt[k+3])
-			a0, a1, a2, a3 := lo[k], lo[k+1], lo[k+2], lo[k+3]
-			lo[k] = a0 + b0
-			hi[k] = a0 - b0
-			lo[k+1] = a1 + b1
-			hi[k+1] = a1 - b1
-			lo[k+2] = a2 + b2
-			hi[k+2] = a2 - b2
-			lo[k+3] = a3 + b3
-			hi[k+3] = a3 - b3
-		}
-		for ; k < len(wt); k++ {
-			b := cmul32(hi[k], wt[k])
-			a := lo[k]
-			lo[k] = a + b
-			hi[k] = a - b
-		}
-	}
-}
-
-// stageScale32Generic is the complex64 final stage with folded scaling.
-func stageScale32Generic(x []complex64, size int, wt []complex64, scale float32) {
-	n := len(x)
-	half := size >> 1
-	for start := 0; start < n; start += size {
-		lo := x[start : start+half : start+half][:len(wt)]
-		hi := x[start+half : start+size : start+size][:len(wt)]
-		for k := range wt {
-			b := cmul32(hi[k], wt[k])
-			a := lo[k]
-			s := a + b
-			d := a - b
-			lo[k] = complex(real(s)*scale, imag(s)*scale)
-			hi[k] = complex(real(d)*scale, imag(d)*scale)
-		}
-	}
-}

@@ -4,15 +4,18 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"goopc/internal/par"
 )
 
 // Plan2D is a reusable 2-D transform plan for one grid geometry: the
 // twiddle tables for both axes are resolved once, and the row and column
-// passes fan out across Workers goroutines. Forward2DP/Inverse2DP
-// produce bit-identical results at any worker count (each row/column is
-// an independent transform and the inverse scaling is a single uniform
-// pass), so a parallel plan can stand in for the serial Grid transforms
-// anywhere. A Plan2D is safe for concurrent use.
+// passes fan out across up to Workers goroutines, as far as the
+// process-wide compute budget (internal/par) grants them. Every
+// transform produces bit-identical results at any worker count (each
+// row/column is an independent transform), so a parallel plan can stand
+// in for the serial Grid transforms anywhere. A Plan2D is safe for
+// concurrent use.
 type Plan2D struct {
 	W, H int
 	// Workers bounds the goroutine fan-out per pass; values <= 1 run the
@@ -41,39 +44,26 @@ func NewPlan2D(w, h int) (*Plan2D, error) {
 
 // Forward2DP computes the in-place 2-D DFT of g (rows then columns),
 // parallel over rows/columns up to p.Workers.
-func (p *Plan2D) Forward2DP(g *Grid) error { return p.apply(g, false, nil, nil) }
+func (p *Plan2D) Forward2DP(g *Grid) error { return p.apply(g, false, nil) }
 
 // Inverse2DP computes the in-place 2-D inverse DFT of g with 1/(W*H)
 // scaling, parallel over rows/columns up to p.Workers.
-func (p *Plan2D) Inverse2DP(g *Grid) error { return p.apply(g, true, nil, nil) }
-
-// Inverse2DPRows computes the inverse DFT of a grid whose input is
-// nonzero only on the listed rows: the row pass transforms just those
-// rows (an all-zero row transforms to zero, so skipping it is exact),
-// while the column and scaling passes run in full. The result is
-// bit-identical to Inverse2DP for such inputs. Band-limited spectra
-// occupy a handful of rows, making this several times cheaper.
-func (p *Plan2D) Inverse2DPRows(g *Grid, rows []int) error { return p.apply(g, true, rows, nil) }
+func (p *Plan2D) Inverse2DP(g *Grid) error { return p.apply(g, true, nil) }
 
 // Forward2DPCols computes the forward DFT restricted to the listed
 // output columns: the row pass runs in full, the column pass only on
 // the listed columns. Listed columns match Forward2DP bit-for-bit;
 // every other column is left in a partially transformed state and must
 // not be read. Use when only a known frequency band is consumed.
-func (p *Plan2D) Forward2DPCols(g *Grid, cols []int) error { return p.apply(g, false, nil, cols) }
+func (p *Plan2D) Forward2DPCols(g *Grid, cols []int) error { return p.apply(g, false, cols) }
 
-func (p *Plan2D) apply(g *Grid, invert bool, rows, cols []int) error {
+func (p *Plan2D) apply(g *Grid, invert bool, cols []int) error {
 	if g.W != p.W || g.H != p.H {
 		return fmt.Errorf("fft: plan %dx%d applied to grid %dx%d", p.W, p.H, g.W, g.H)
 	}
 	mTransforms.Inc()
 	mKernelDispatch.Inc()
 	w, h := p.W, p.H
-	for _, y := range rows {
-		if y < 0 || y >= h {
-			return fmt.Errorf("fft: row %d outside plan height %d", y, h)
-		}
-	}
 	for _, x := range cols {
 		if x < 0 || x >= w {
 			return fmt.Errorf("fft: column %d outside plan width %d", x, w)
@@ -84,20 +74,11 @@ func (p *Plan2D) apply(g *Grid, invert bool, rows, cols []int) error {
 		twW, twH = p.invW, p.invH
 	}
 	// Rows.
-	if rows == nil {
-		parallelRange(h, p.Workers, func(y0, y1 int) {
-			for y := y0; y < y1; y++ {
-				transformT(g.Data[y*w:(y+1)*w], twW)
-			}
-		})
-	} else {
-		parallelRange(len(rows), p.Workers, func(i0, i1 int) {
-			for i := i0; i < i1; i++ {
-				y := rows[i]
-				transformT(g.Data[y*w:(y+1)*w], twW)
-			}
-		})
-	}
+	parallelRange(h, p.Workers, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			transformT(g.Data[y*w:(y+1)*w], twW)
+		}
+	})
 	// Columns, gathered into pooled scratch in blocks: four adjacent
 	// complex128 columns share each 64-byte cache line, so walking the
 	// grid once per 4-column block instead of once per column cuts the
@@ -113,7 +94,6 @@ func (p *Plan2D) apply(g *Grid, invert bool, rows, cols []int) error {
 	if invert {
 		cscale = 1 / float64(w*h)
 	}
-	const colBlock = 4
 	colPass := func(x0, x1 int, pick []int) {
 		buf := getScratch(colBlock * h)
 		b0, b1 := buf[0*h:1*h], buf[1*h:2*h]
@@ -175,30 +155,128 @@ func (p *Plan2D) apply(g *Grid, invert bool, rows, cols []int) error {
 	return nil
 }
 
-// parallelRange splits [0, n) into contiguous chunks across at most
-// workers goroutines. With one worker (or a tiny n) it runs inline.
-func parallelRange(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
+// colBlock is how many adjacent columns a column pass moves together.
+const colBlock = 4
+
+// Sink selects what InverseBand stores for each cell v of its result.
+type Sink uint8
+
+// InverseBand sinks.
+const (
+	// SinkReal stores real(v): the inverse of a Hermitian spectrum.
+	SinkReal Sink = iota
+	// SinkNorm stores |v|^2, the intensity of a coherent field.
+	SinkNorm
+	// SinkAddNorm adds |v|^2 to what dst already holds.
+	SinkAddNorm
+)
+
+// InverseBand computes the inverse 2-D DFT (1/(W*H) scaling) of a
+// spectrum that is zero outside the listed grid rows, and hands every
+// cell of the W x H result to the sink instead of storing the complex
+// field: dst[y*W+x] receives real(v), |v|^2 or += |v|^2.
+//
+// band holds just the listed rows, packed and with their columns in
+// butterfly order: spectrum cell (x, rows[i]) sits at
+// band.Data[i*W+BitReverse(x, W)], so band.W == W and band.H ==
+// len(rows). A caller scattering a sparse spectrum places it there for
+// free, and the row transforms skip their permutation pass. band is
+// consumed as scratch.
+//
+// The row pass transforms the packed rows where they lie; the column
+// pass gathers, per block of four columns, only the listed rows into
+// zeroed column scratch (again straight into butterfly order),
+// transforms, and sinks — the W x H complex grid is never written or
+// read. Each 1-D transform runs the butterflies Inverse2DP would run on
+// the zero-padded grid over the same values, so the sunk values are
+// bit-identical to applying the sink to its output, at any worker
+// count. Band-limited spectra occupy a fraction of the rows, which
+// makes this the cheap way to image them. The grid must be at least one
+// column block (four columns) wide.
+func (p *Plan2D) InverseBand(dst []float64, band *Grid, rows []int, sink Sink) error {
+	w, h := p.W, p.H
+	if w < colBlock {
+		return fmt.Errorf("fft: band inverse needs at least %d columns, plan is %dx%d", colBlock, w, h)
 	}
-	if workers <= 1 {
+	if band.W != w || band.H != len(rows) || len(dst) != w*h {
+		return fmt.Errorf("fft: plan %dx%d applied to band %dx%d (%d rows) and %d output cells",
+			w, h, band.W, band.H, len(rows), len(dst))
+	}
+	rev := make([]int, len(rows))
+	for i, y := range rows {
+		if y < 0 || y >= h {
+			return fmt.Errorf("fft: row %d outside plan height %d", y, h)
+		}
+		rev[i] = BitReverse(y, h)
+	}
+	mTransforms.Inc()
+	mKernelDispatch.Inc()
+	parallelRange(len(rows), p.Workers, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			butterflies(band.Data[i*w:(i+1)*w], p.invW, 1)
+		}
+	})
+	cscale := 1 / float64(w*h)
+	parallelRange(w/colBlock, p.Workers, func(blk0, blk1 int) {
+		buf := getScratch(colBlock * h)
+		defer putScratch(buf)
+		b0, b1 := buf[0*h:1*h], buf[1*h:2*h]
+		b2, b3 := buf[2*h:3*h], buf[3*h:4*h]
+		for x0 := blk0 * colBlock; x0 < blk1*colBlock; x0 += colBlock {
+			clear(buf)
+			for i, y := range rev {
+				r4 := band.Data[i*w+x0 : i*w+x0+4 : i*w+x0+4]
+				b0[y], b1[y], b2[y], b3[y] = r4[0], r4[1], r4[2], r4[3]
+			}
+			butterflies(b0, p.invH, cscale)
+			butterflies(b1, p.invH, cscale)
+			butterflies(b2, p.invH, cscale)
+			butterflies(b3, p.invH, cscale)
+			switch sink {
+			case SinkReal:
+				for y := 0; y < h; y++ {
+					d := dst[y*w+x0 : y*w+x0+4 : y*w+x0+4]
+					d[0], d[1], d[2], d[3] = real(b0[y]), real(b1[y]), real(b2[y]), real(b3[y])
+				}
+			case SinkNorm:
+				for y := 0; y < h; y++ {
+					d := dst[y*w+x0 : y*w+x0+4 : y*w+x0+4]
+					d[0], d[1], d[2], d[3] = norm(b0[y]), norm(b1[y]), norm(b2[y]), norm(b3[y])
+				}
+			case SinkAddNorm:
+				for y := 0; y < h; y++ {
+					d := dst[y*w+x0 : y*w+x0+4 : y*w+x0+4]
+					d[0] += norm(b0[y])
+					d[1] += norm(b1[y])
+					d[2] += norm(b2[y])
+					d[3] += norm(b3[y])
+				}
+			}
+		}
+	})
+	return nil
+}
+
+// norm is |v|^2.
+func norm(v complex128) float64 {
+	re, im := real(v), imag(v)
+	return re*re + im*im
+}
+
+// parallelRange splits [0, n) into contiguous chunks, one for the
+// caller and one per extra goroutine the compute budget grants, up to
+// workers chunks in all. With one worker, a tiny n, or the budget
+// spent it runs inline.
+func parallelRange(n, workers int, fn func(lo, hi int)) {
+	extra := par.Acquire(min(workers, n) - 1)
+	if extra == 0 {
 		fn(0, n)
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	chunk := (n + extra) / (extra + 1)
+	par.Run(extra, (n+chunk-1)/chunk, func(_, c int) {
+		fn(c*chunk, min((c+1)*chunk, n))
+	})
 }
 
 // scratchPools hands out per-length complex scratch vectors (the column
@@ -227,6 +305,14 @@ var gridPools sync.Map // [2]int -> *sync.Pool
 
 // GetGrid returns a zeroed W x H grid from the pool.
 func GetGrid(w, h int) *Grid {
+	g := GetGridRaw(w, h)
+	clear(g.Data)
+	return g
+}
+
+// GetGridRaw is GetGrid without the clear: the grid holds whatever its
+// last user left. For callers that assign every cell before reading.
+func GetGridRaw(w, h int) *Grid {
 	key := [2]int{w, h}
 	mGridGets.Inc()
 	p, ok := gridPools.Load(key)
@@ -236,11 +322,7 @@ func GetGrid(w, h int) *Grid {
 			return NewGrid(w, h)
 		}})
 	}
-	g := p.(*sync.Pool).Get().(*Grid)
-	for i := range g.Data {
-		g.Data[i] = 0
-	}
-	return g
+	return p.(*sync.Pool).Get().(*Grid)
 }
 
 // PutGrid returns a grid obtained from GetGrid to its pool. The caller

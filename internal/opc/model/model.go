@@ -11,11 +11,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"goopc/internal/geom"
 	"goopc/internal/opc"
 	"goopc/internal/optics"
+	"goopc/internal/par"
 	"goopc/internal/resist"
 )
 
@@ -207,13 +207,25 @@ func (e *Engine) CorrectFragments(target []geom.Polygon, window geom.Rect) (opc.
 		foci = []float64{e.Sim.S.DefocusNM}
 	}
 	ctx := e.ctx()
+	// An iteration's images are spent once the fragments have moved:
+	// their buffers go back so the next iteration images into them.
+	var images []*optics.Image
+	release := func() {
+		for _, im := range images {
+			im.Release()
+		}
+		images = nil
+	}
+	defer release()
 	for iter := 0; iter <= e.MaxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return opc.Result{}, conv, nil, fmt.Errorf("model: iteration %d: %w", iter, err)
 		}
 		mask := e.rebuild(frags)
 		full := append(mask, extra...)
-		images, err := e.imageFoci(ctx, full, window, foci)
+		release()
+		var err error
+		images, err = e.imageFoci(ctx, full, window, foci)
 		if err != nil {
 			return opc.Result{}, conv, nil, fmt.Errorf("model: iteration %d imaging: %w", iter, err)
 		}
@@ -274,33 +286,30 @@ func copyFrags(frags [][]geom.Fragment) [][]geom.Fragment {
 }
 
 // imageFoci computes one aerial image per focus. Process-window OPC on
-// a parallel simulator evaluates the foci concurrently (the simulator
-// is safe for concurrent use and its kernel cache is shared); images
-// land at their focus index, so the result is order-deterministic.
+// a parallel simulator evaluates the foci concurrently as far as the
+// compute budget allows (the simulator is safe for concurrent use and
+// its kernel cache is shared); images land at their focus index, so the
+// result is order-deterministic.
 func (e *Engine) imageFoci(ctx context.Context, mask []geom.Polygon, window geom.Rect, foci []float64) ([]*optics.Image, error) {
 	images := make([]*optics.Image, len(foci))
-	if !e.Sim.S.Parallel || len(foci) < 2 {
-		for i, z := range foci {
-			im, err := e.Sim.AerialDefocusCtx(ctx, mask, window, z)
-			if err != nil {
-				return nil, err
-			}
-			images[i] = im
-		}
-		return images, nil
-	}
 	errs := make([]error, len(foci))
-	var wg sync.WaitGroup
-	for i, z := range foci {
-		wg.Add(1)
-		go func(i int, z float64) {
-			defer wg.Done()
-			images[i], errs[i] = e.Sim.AerialDefocusCtx(ctx, mask, window, z)
-		}(i, z)
+	image := func(_, i int) {
+		images[i], errs[i] = e.Sim.AerialDefocusCtx(ctx, mask, window, foci[i])
 	}
-	wg.Wait()
+	if e.Sim.S.Parallel {
+		par.Each(len(foci), image)
+	} else {
+		for i := range foci {
+			image(0, i)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
+			for _, im := range images {
+				if im != nil {
+					im.Release()
+				}
+			}
 			return nil, err
 		}
 	}

@@ -99,6 +99,7 @@ func EvaluateEPE(sim *optics.Simulator, threshold float64, target []geom.Polygon
 	if err != nil {
 		return EPEStats{}, fmt.Errorf("opc: EPE imaging: %w", err)
 	}
+	defer im.Release()
 	return EvaluateEPEOnImage(im, threshold, target, spec, maxSearch), nil
 }
 

@@ -98,6 +98,7 @@ func solveBias(sim *optics.Simulator, threshold float64, cd, space geom.Coord, i
 		if err != nil {
 			return 0
 		}
+		defer im.Release()
 		c, err := resist.MeasureCD(im, threshold, 0, 0, true, float64(pitch+400))
 		if err != nil {
 			if im.At(0, 0) < threshold {

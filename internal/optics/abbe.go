@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -19,10 +18,8 @@ type Simulator struct {
 	S   Settings
 	src []srcPoint
 
-	// plans caches FFT plans per frame geometry; plans32 their complex64
-	// twins for the PrecisionF32 kernel path.
-	plans   sync.Map // [2]int -> *fft.Plan2D
-	plans32 sync.Map // [2]int -> *fft.Plan2D32
+	// plans caches FFT plans per frame geometry.
+	plans sync.Map // [2]int -> *fft.Plan2D
 	// kcache caches SOCS kernel sets per (frame geometry, defocus) so
 	// OPC iteration loops and E-D process-window sweeps rebuild nothing.
 	kcache                   sync.Map // kernelKey -> *kernelEntry
@@ -129,19 +126,14 @@ func (sim *Simulator) AerialDefocusCtx(ctx context.Context, mask []geom.Polygon,
 		if err != nil {
 			return nil, err
 		}
-		if sim.S.Precision == PrecisionF32 {
-			mImagesSOCS32.Inc()
-			intensity, err = sim.socsIntensity32(ctx, spectrum, frame, ks)
-		} else {
-			mImagesSOCS.Inc()
-			intensity, err = sim.socsIntensity(ctx, spectrum, frame, ks)
-		}
+		mImagesSOCS.Inc()
+		intensity, err = sim.socsIntensity(ctx, spectrum, frame, ks)
 		fft.PutGrid(spectrum)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return &Image{Frame: frame, Window: window, I: intensity}, nil
+	return &Image{Frame: frame, Window: window, I: intensity, pooled: true}, nil
 }
 
 // maskSpectrum rasterizes the mask into a pooled grid, applies the tone
@@ -195,11 +187,16 @@ func (sim *Simulator) maskSpectrum(mask []geom.Polygon, frame Frame, cols []int)
 
 // abbeIntensity runs the reference source-point integration: one
 // pupil-filtered inverse FFT per sampled source point, weighted
-// intensities summed. Workers abort early once any source point fails
-// or the context is cancelled.
+// intensities summed in source order — so the image is the same bit
+// for bit whether the simulator is parallel or not (a parallel one
+// fans out inside each inverse, which is worker-count invariant). The
+// loop stops at the first failed source point or once the context is
+// cancelled.
 func (sim *Simulator) abbeIntensity(ctx context.Context, spectrum *fft.Grid, frame Frame, defocusNM float64) ([]float64, error) {
-	n := frame.W * frame.H
-	intensity := make([]float64, n)
+	plan, err := sim.plan(frame.W, frame.H)
+	if err != nil {
+		return nil, err
+	}
 	naOverLambda := sim.S.NA / sim.S.LambdaNM
 
 	// Precompute per-axis frequencies.
@@ -212,73 +209,21 @@ func (sim *Simulator) abbeIntensity(ctx context.Context, spectrum *fft.Grid, fra
 		fys[k] = freqAt(k, frame.H, frame.PixelNM)
 	}
 
-	workers := 1
-	if sim.S.Parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > len(sim.src) {
-			workers = len(sim.src)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var cancel atomic.Bool
-	jobs := make(chan srcPoint)
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			field := fft.GetGrid(frame.W, frame.H)
-			defer fft.PutGrid(field)
-			local := getFloats(n)
-			for sp := range jobs {
-				if cancel.Load() {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel.Store(true)
-					continue
-				}
-				if err := sim.sourceField(spectrum, field, frame, sp, defocusNM, naOverLambda, fxs, fys); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					cancel.Store(true)
-					continue
-				}
-				for i, v := range field.Data {
-					re, im := real(v), imag(v)
-					local[i] += sp.Weight * (re*re + im*im)
-				}
-			}
-			mu.Lock()
-			for i, v := range local {
-				intensity[i] += v
-			}
-			mu.Unlock()
-			putFloats(local)
-		}()
-	}
+	intensity := getFloats(frame.W * frame.H)
+	field := fft.GetGridRaw(frame.W, frame.H) // sourceField clears it itself
+	defer fft.PutGrid(field)
 	for _, sp := range sim.src {
-		if cancel.Load() {
-			break
+		if err = ctx.Err(); err == nil {
+			err = sim.sourceField(spectrum, field, plan, frame, sp, defocusNM, naOverLambda, fxs, fys)
 		}
-		jobs <- sp
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		if err != nil {
+			putFloats(intensity)
+			return nil, err
+		}
+		for i, v := range field.Data {
+			re, im := real(v), imag(v)
+			intensity[i] += sp.Weight * (re*re + im*im)
+		}
 	}
 	return intensity, nil
 }
@@ -286,7 +231,7 @@ func (sim *Simulator) abbeIntensity(ctx context.Context, spectrum *fft.Grid, fra
 // sourceField fills field with the coherent image field for one source
 // point: IFFT of the mask spectrum filtered by the shifted, defocused
 // pupil. Out-of-band bins are zeroed.
-func (sim *Simulator) sourceField(spectrum, field *fft.Grid, frame Frame, sp srcPoint,
+func (sim *Simulator) sourceField(spectrum, field *fft.Grid, plan *fft.Plan2D, frame Frame, sp srcPoint,
 	defocusNM, naOverLambda float64, fxs, fys []float64) error {
 	sim.fieldEvals.Add(1)
 	mFieldEvals.Inc()
@@ -295,9 +240,7 @@ func (sim *Simulator) sourceField(spectrum, field *fft.Grid, frame Frame, sp src
 	cutoff := naOverLambda
 	cutoff2 := cutoff * cutoff
 	lambda := sim.S.LambdaNM
-	for i := range field.Data {
-		field.Data[i] = 0
-	}
+	clear(field.Data)
 	for ky := 0; ky < frame.H; ky++ {
 		fy := fys[ky] + sy
 		fy2 := fy * fy
@@ -322,5 +265,5 @@ func (sim *Simulator) sourceField(spectrum, field *fft.Grid, frame Frame, sp src
 			rowF[kx] = rowS[kx] * p
 		}
 	}
-	return field.Inverse2D()
+	return plan.Inverse2DP(field)
 }

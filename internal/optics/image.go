@@ -10,10 +10,29 @@ import (
 // frame, normalized so an unpatterned clear field is 1.0. Window is the
 // region of interest the caller asked for; the frame extends beyond it
 // by the guard band.
+//
+// The simulator draws I from a buffer pool. A caller that is done with
+// an image may hand the buffer back with Release — the iteration loops
+// that image thousands of masks do, and then allocate nothing per image
+// — but never has to: an unreleased image is ordinary garbage.
 type Image struct {
 	Frame  Frame
 	Window geom.Rect
 	I      []float64
+	// pooled marks I as drawn from the buffer pool (set by the
+	// simulator only; an Image built by hand never feeds the pool).
+	pooled bool
+}
+
+// Release returns the image's intensity buffer to the simulator's pool
+// and sets I to nil; the image must not be sampled afterwards. It is
+// optional and idempotent, but not safe to call concurrently with any
+// other use of the image.
+func (im *Image) Release() {
+	if im.pooled && im.I != nil {
+		putFloats(im.I)
+	}
+	im.I = nil
 }
 
 // At samples the intensity at nm coordinates by bilinear interpolation.

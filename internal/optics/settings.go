@@ -74,41 +74,6 @@ func (e Engine) String() string {
 	return "socs"
 }
 
-// Precision selects the floating-point width of the SOCS imaging path.
-type Precision uint8
-
-// Imaging precisions.
-const (
-	// PrecisionF64 (the default) evaluates kernel images in complex128.
-	PrecisionF64 Precision = iota
-	// PrecisionF32 evaluates the per-kernel coarse-grid inverse FFTs in
-	// complex64: half the memory traffic and twice the SIMD lanes on the
-	// dominant cost of a SOCS simulation. The fine-grid mask transform,
-	// intensity accumulation and final interpolation stay float64, so
-	// only the coarse kernel fields carry single-precision rounding; see
-	// DESIGN.md for the measured accuracy budget. The Abbe engine
-	// ignores this knob (it is the golden reference).
-	PrecisionF32
-)
-
-func (p Precision) String() string {
-	if p == PrecisionF32 {
-		return "f32"
-	}
-	return "f64"
-}
-
-// ParsePrecision maps the CLI/API spellings onto a Precision.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "f64", "float64", "double":
-		return PrecisionF64, nil
-	case "f32", "float32", "single":
-		return PrecisionF32, nil
-	}
-	return PrecisionF64, fmt.Errorf("%w: precision %q (want f64 or f32)", ErrBadSettings, s)
-}
-
 // Tone selects the mask polarity.
 type Tone uint8
 
@@ -176,16 +141,13 @@ type Settings struct {
 	// Engine selects the imaging path (EngineSOCS default).
 	Engine Engine
 	// SOCSMass is the fraction of the TCC trace the retained kernel set
-	// must capture; 0 selects the default 0.999. Higher mass means more
+	// must capture; 0 selects the default 0.995. Higher mass means more
 	// kernels (slower) and tighter agreement with the Abbe reference.
 	SOCSMass float64
 	// SOCSMaxKernels caps the retained kernel count regardless of mass
 	// (0 = uncapped; the count never exceeds the source-point count,
 	// which bounds the TCC rank).
 	SOCSMaxKernels int
-	// Precision selects the SOCS evaluation width (PrecisionF64 default;
-	// PrecisionF32 runs the per-kernel coarse inverses in complex64).
-	Precision Precision
 }
 
 // Default returns the 248 nm KrF baseline: NA 0.68, conventional
@@ -239,8 +201,6 @@ func (s Settings) Validate() error {
 		return fmt.Errorf("%w: SOCS mass %v", ErrBadSettings, s.SOCSMass)
 	case s.SOCSMaxKernels < 0:
 		return fmt.Errorf("%w: SOCS max kernels %d", ErrBadSettings, s.SOCSMaxKernels)
-	case s.Precision > PrecisionF32:
-		return fmt.Errorf("%w: precision %d", ErrBadSettings, s.Precision)
 	}
 	// The pixel must resolve the field band limit NA(1+sigma)/lambda.
 	nyquist := s.LambdaNM / (2 * s.NA * (1 + s.SigmaOuter))

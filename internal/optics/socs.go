@@ -36,11 +36,11 @@ import (
 	"context"
 	"math"
 	"math/cmplx"
-	"runtime"
 	"sync"
 
 	"goopc/internal/fft"
 	"goopc/internal/geom"
+	"goopc/internal/par"
 )
 
 // defaultSOCSMass is the retained TCC-trace fraction when
@@ -67,9 +67,12 @@ type kernelEntry struct {
 // grid the kernels are imaged on.
 type kernelSet struct {
 	// idx holds the flattened fine-frame indices of the in-band bins;
-	// cidx the same bins' positions on the coarse grid (identical
-	// frequencies: both grids span the same physical extent).
-	idx, cidx []int32
+	// bidx the same bins' positions in the packed band the kernel
+	// inverse consumes (fft.Plan2D.InverseBand): row i of the band is
+	// coarse-grid row coarseRows[i], columns are coarse columns in
+	// butterfly order (identical frequencies: both grids span the same
+	// physical extent).
+	idx, bidx []int32
 	// coef[k][j] is kernel k's filter at bin idx[j], scaled by
 	// sqrt(eigenvalue) and the coarse-grid DFT normalization ratio so
 	// intensities sum without extra weights.
@@ -87,29 +90,11 @@ type kernelSet struct {
 	// fineCols are the fine-frame columns holding in-band bins (pruned
 	// forward transform); coarseRows the coarse rows holding them
 	// (pruned kernel inverses); embedRows the fine rows that receive
-	// the upsampled intensity spectrum (pruned interpolation inverse).
-	fineCols, coarseRows, embedRows []int
-	// coef32 is the complex64 rounding of coef, converted lazily on the
-	// first PrecisionF32 simulation and cached alongside — the kernel
-	// cache then serves both precisions from one entry.
-	f32once sync.Once
-	coef32  [][]complex64
-}
-
-// coefs32 returns the complex64 kernel stack, converting from coef on
-// first use.
-func (ks *kernelSet) coefs32() [][]complex64 {
-	ks.f32once.Do(func() {
-		ks.coef32 = make([][]complex64, len(ks.coef))
-		for k, ck := range ks.coef {
-			c := make([]complex64, len(ck))
-			for j, v := range ck {
-				c[j] = complex64(v)
-			}
-			ks.coef32[k] = c
-		}
-	})
-	return ks.coef32
+	// the upsampled intensity spectrum (pruned interpolation inverse),
+	// one per non-Nyquist coarse row in coarse order, and embedCols
+	// where in such a packed row each non-Nyquist coarse column lands
+	// (butterfly order again; -1 for the Nyquist column).
+	fineCols, coarseRows, embedRows, embedCols []int
 }
 
 // kernels returns the cached kernel set for a frame/defocus, building
@@ -260,20 +245,24 @@ func (sim *Simulator) buildKernels(frame Frame, defocusNM float64) (*kernelSet, 
 	// bookkeeping for the pruned transforms.
 	cw := coarseSize(rx, frame.W)
 	ch := coarseSize(ry, frame.H)
-	cidx := make([]int32, m)
 	fineColSet := make(map[int]bool)
 	coarseRowSet := make(map[int]bool)
-	for j, fi := range idx {
-		kx := int(fi) % frame.W
-		ky := int(fi) / frame.W
-		ckx := wrapBin(kx, frame.W, cw)
-		cky := wrapBin(ky, frame.H, ch)
-		cidx[j] = int32(cky*cw + ckx)
-		fineColSet[kx] = true
-		coarseRowSet[cky] = true
+	for _, fi := range idx {
+		fineColSet[int(fi)%frame.W] = true
+		coarseRowSet[wrapBin(int(fi)/frame.W, frame.H, ch)] = true
 	}
 	fineCols := sortedKeys(fineColSet)
 	coarseRows := sortedKeys(coarseRowSet)
+	bandRow := make(map[int]int, len(coarseRows))
+	for i, cky := range coarseRows {
+		bandRow[cky] = i
+	}
+	bidx := make([]int32, m)
+	for j, fi := range idx {
+		ckx := wrapBin(int(fi)%frame.W, frame.W, cw)
+		cky := wrapBin(int(fi)/frame.W, frame.H, ch)
+		bidx[j] = int32(bandRow[cky]*cw + fft.BitReverse(ckx, cw))
+	}
 	var embedRows []int
 	for ky := 0; ky < ch; ky++ {
 		if ky == ch/2 {
@@ -281,6 +270,11 @@ func (sim *Simulator) buildKernels(frame Frame, defocusNM float64) (*kernelSet, 
 		}
 		embedRows = append(embedRows, wrapBin(ky, ch, frame.H))
 	}
+	embedCols := make([]int, cw)
+	for kx := range embedCols {
+		embedCols[kx] = fft.BitReverse(wrapBin(kx, cw, frame.W), frame.W)
+	}
+	embedCols[cw/2] = -1
 
 	// A[s][j] = sqrt(w_s) * P(f_j + shift_s), the defocused pupil seen
 	// from source point s.
@@ -392,10 +386,10 @@ func (sim *Simulator) buildKernels(frame Frame, defocusNM float64) (*kernelSet, 
 	mKernelBuilds.Inc()
 	mKernelsKept.Observe(float64(kept))
 	return &kernelSet{
-		idx: idx, cidx: cidx, coef: coef, eigs: eigs,
+		idx: idx, bidx: bidx, coef: coef, eigs: eigs,
 		kept: kept, trace: trace, mass: mass,
 		cw: cw, ch: ch,
-		fineCols: fineCols, coarseRows: coarseRows, embedRows: embedRows,
+		fineCols: fineCols, coarseRows: coarseRows, embedRows: embedRows, embedCols: embedCols,
 	}, nil
 }
 
@@ -427,114 +421,81 @@ func sortedKeys(set map[int]bool) []int {
 }
 
 // socsIntensity images the spectrum through the cached kernel set: one
-// small coarse-grid inverse FFT per retained kernel, then a single
-// Fourier interpolation of the accumulated intensity up to the frame.
-// With Parallel set, kernels fan out across goroutines into per-kernel
-// buffers merged in kernel order, so the result is bit-identical to the
-// serial loop.
+// fused band-pruned inverse per retained kernel (fft.InverseBand: the
+// filtered in-band bins are packed, transformed, and their squared
+// magnitude lands straight in the coarse intensity — no coarse field
+// grid exists), then a single Fourier interpolation of the accumulated
+// intensity up to the frame. A parallel simulator fans the kernels out
+// over whatever the compute budget grants: with none — an outer level
+// holds the cores — the kernels accumulate in place one after the
+// other; otherwise each lands in its own buffer and the buffers merge
+// in kernel order, which is the same sum bit for bit.
 func (sim *Simulator) socsIntensity(ctx context.Context, spectrum *fft.Grid, frame Frame, ks *kernelSet) ([]float64, error) {
-	cn := ks.cw * ks.ch
-	coarse := getFloats(cn)
 	cplan, err := sim.plan(ks.cw, ks.ch)
+	if err != nil {
+		return nil, err
+	}
+	extra := 0
+	if sim.S.Parallel {
+		extra = par.Acquire(ks.kept - 1)
+	}
+	bands := make([]*fft.Grid, extra+1)
+	image := func(worker, k int, dst []float64, sink fft.Sink) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if bands[worker] == nil {
+			bands[worker] = fft.GetGridRaw(ks.cw, len(ks.coarseRows))
+		}
+		band := bands[worker].Data
+		clear(band)
+		ck := ks.coef[k]
+		for j, bi := range ks.idx {
+			band[ks.bidx[j]] = spectrum.Data[bi] * ck[j]
+		}
+		return cplan.InverseBand(dst, bands[worker], ks.coarseRows, sink)
+	}
+	// Every cell of an intensity buffer is assigned (the first kernel
+	// stores, the rest add or are merged), so they come un-zeroed.
+	cn := ks.cw * ks.ch
+	coarse := getFloatsRaw(cn)
+	if extra == 0 {
+		for k := 0; k < ks.kept && err == nil; k++ {
+			sink := fft.SinkAddNorm
+			if k == 0 {
+				sink = fft.SinkNorm
+			}
+			err = image(0, k, coarse, sink)
+		}
+	} else {
+		parts := make([][]float64, ks.kept)
+		errs := make([]error, ks.kept)
+		parts[0] = coarse
+		par.Run(extra, ks.kept, func(worker, k int) {
+			if k > 0 {
+				parts[k] = getFloatsRaw(cn)
+			}
+			errs[k] = image(worker, k, parts[k], fft.SinkNorm)
+		})
+		for k := 1; k < ks.kept; k++ {
+			for i, v := range parts[k] {
+				coarse[i] += v
+			}
+			putFloats(parts[k])
+		}
+		for _, kerr := range errs {
+			if kerr != nil {
+				err = kerr
+				break
+			}
+		}
+	}
+	for _, b := range bands {
+		fft.PutGrid(b)
+	}
 	if err != nil {
 		putFloats(coarse)
 		return nil, err
-	}
-	workers := 1
-	if sim.S.Parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > ks.kept {
-			workers = ks.kept
-		}
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	if workers <= 1 {
-		// Sequential kernels; the plan parallelizes inside each IFFT
-		// when the simulator is parallel.
-		field := fft.GetGrid(ks.cw, ks.ch)
-		for k := 0; k < ks.kept; k++ {
-			if err := ctx.Err(); err != nil {
-				fft.PutGrid(field)
-				putFloats(coarse)
-				return nil, err
-			}
-			if err := kernelField(field, spectrum, ks, k, cplan); err != nil {
-				fft.PutGrid(field)
-				putFloats(coarse)
-				return nil, err
-			}
-			for i, v := range field.Data {
-				re, im := real(v), imag(v)
-				coarse[i] += re*re + im*im
-			}
-		}
-		fft.PutGrid(field)
-		return sim.upsample(coarse, frame, ks)
-	}
-
-	// Kernel-level fan-out with serial per-kernel IFFTs (one transform
-	// per core beats nested parallelism).
-	serial := *cplan
-	serial.Workers = 1
-	parts := make([][]float64, ks.kept)
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			field := fft.GetGrid(ks.cw, ks.ch)
-			defer fft.PutGrid(field)
-			for k := range jobs {
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				if err := kernelField(field, spectrum, ks, k, &serial); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				part := getFloats(cn)
-				for i, v := range field.Data {
-					re, im := real(v), imag(v)
-					part[i] = re*re + im*im
-				}
-				parts[k] = part
-			}
-		}()
-	}
-	for k := 0; k < ks.kept; k++ {
-		jobs <- k
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		for _, part := range parts {
-			if part != nil {
-				putFloats(part)
-			}
-		}
-		putFloats(coarse)
-		return nil, firstErr
-	}
-	// Deterministic merge in kernel order.
-	for _, part := range parts {
-		for i, v := range part {
-			coarse[i] += v
-		}
-		putFloats(part)
 	}
 	return sim.upsample(coarse, frame, ks)
 }
@@ -544,76 +505,59 @@ func (sim *Simulator) socsIntensity(ctx context.Context, spectrum *fft.Grid, fra
 // the coarse Nyquist square by construction (coarseSize), so the
 // interpolation is exact for the band-limited intensity: the fine
 // samples match a full-frame evaluation to rounding error. The coarse
-// buffer is consumed (returned to its pool).
+// buffer is consumed; the result is a pooled buffer (see Image.Release).
 func (sim *Simulator) upsample(coarse []float64, frame Frame, ks *kernelSet) ([]float64, error) {
-	n := frame.W * frame.H
 	if ks.cw == frame.W && ks.ch == frame.H {
-		out := make([]float64, n)
-		copy(out, coarse)
-		putFloats(coarse)
-		return out, nil
+		return coarse, nil
 	}
-	cg := fft.GetGrid(ks.cw, ks.ch)
-	for i, v := range coarse {
-		cg.Data[i] = complex(v, 0)
-	}
-	putFloats(coarse)
 	cplan, err := sim.plan(ks.cw, ks.ch)
 	if err != nil {
-		fft.PutGrid(cg)
-		return nil, err
-	}
-	if err := cplan.Forward2DP(cg); err != nil {
-		fft.PutGrid(cg)
+		putFloats(coarse)
 		return nil, err
 	}
 	fplan, err := sim.plan(frame.W, frame.H)
 	if err != nil {
-		fft.PutGrid(cg)
+		putFloats(coarse)
 		return nil, err
 	}
-	fg := fft.GetGrid(frame.W, frame.H)
-	// Embed every non-Nyquist coarse bin at its signed frequency. The
-	// Nyquist row/column carry only rounding noise (the spectrum support
-	// ends below them) and have no unambiguous image on the fine grid.
+	cg := fft.GetGridRaw(ks.cw, ks.ch)
+	defer fft.PutGrid(cg)
+	for i, v := range coarse {
+		cg.Data[i] = complex(v, 0)
+	}
+	putFloats(coarse)
+	if err := cplan.Forward2DP(cg); err != nil {
+		return nil, err
+	}
+	// Embed every non-Nyquist coarse bin at its signed frequency, into
+	// the packed rows of the fine spectrum that receive any (embedRows).
+	// The Nyquist row/column carry only rounding noise (the spectrum
+	// support ends below them) and have no unambiguous image on the
+	// fine grid.
+	band := fft.GetGrid(frame.W, len(ks.embedRows))
+	defer fft.PutGrid(band)
+	n := frame.W * frame.H
 	ratio := complex(float64(n)/float64(ks.cw*ks.ch), 0)
+	row := 0
 	for cky := 0; cky < ks.ch; cky++ {
 		if cky == ks.ch/2 {
 			continue
 		}
-		fy := wrapBin(cky, ks.ch, frame.H)
 		src := cg.Data[cky*ks.cw:]
-		dst := fg.Data[fy*frame.W:]
-		for ckx := 0; ckx < ks.cw; ckx++ {
-			if ckx == ks.cw/2 {
-				continue
+		dst := band.Data[row*frame.W:]
+		row++
+		for ckx, x := range ks.embedCols {
+			if x >= 0 {
+				dst[x] = src[ckx] * ratio
 			}
-			dst[wrapBin(ckx, ks.cw, frame.W)] = src[ckx] * ratio
 		}
 	}
-	fft.PutGrid(cg)
-	if err := fplan.Inverse2DPRows(fg, ks.embedRows); err != nil {
-		fft.PutGrid(fg)
+	// The interpolated intensity is the real part of the inverse; every
+	// cell is stored, so the output buffer comes un-zeroed.
+	out := getFloatsRaw(n)
+	if err := fplan.InverseBand(out, band, ks.embedRows, fft.SinkReal); err != nil {
+		putFloats(out)
 		return nil, err
 	}
-	out := make([]float64, n)
-	for i, v := range fg.Data {
-		out[i] = real(v)
-	}
-	fft.PutGrid(fg)
 	return out, nil
-}
-
-// kernelField fills the coarse field with IFFT(spectrum * kernel k):
-// in-band bins of the fine-frame spectrum land on the coarse bin of the
-// same frequency, and the inverse runs only over the occupied rows.
-func kernelField(field, spectrum *fft.Grid, ks *kernelSet, k int, plan *fft.Plan2D) error {
-	for i := range field.Data {
-		field.Data[i] = 0
-	}
-	ck := ks.coef[k]
-	for j, bi := range ks.idx {
-		field.Data[ks.cidx[j]] = spectrum.Data[bi] * ck[j]
-	}
-	return plan.Inverse2DPRows(field, ks.coarseRows)
 }

@@ -320,8 +320,8 @@ func TestSOCSParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAbbeEarlyAbort: after the first source-point failure the job loop
-// must stop issuing work instead of draining every remaining point.
+// TestAbbeEarlyAbort: a failing frame must stop the source loop at
+// once instead of draining every remaining point.
 func TestAbbeEarlyAbort(t *testing.T) {
 	s := fastSettings()
 	s.Engine = EngineAbbe
@@ -333,14 +333,14 @@ func TestAbbeEarlyAbort(t *testing.T) {
 	if sim.SourcePoints() < 5 {
 		t.Fatalf("want several source points, got %d", sim.SourcePoints())
 	}
-	// A non-power-of-two frame makes every per-point inverse FFT fail.
+	// A non-power-of-two frame has no FFT plan.
 	frame := Frame{W: 24, H: 24, PixelNM: s.PixelNM, OriginX: 0, OriginY: 0}
 	spectrum := rasterize(nil, frame)
 	if _, err := sim.abbeIntensity(context.Background(), spectrum, frame, 0); err == nil {
 		t.Fatal("expected error from non-pow2 frame")
 	}
-	if n := sim.fieldEvals.Load(); n != 1 {
-		t.Errorf("evaluated %d source fields after first failure, want 1", n)
+	if n := sim.fieldEvals.Load(); n > 1 {
+		t.Errorf("evaluated %d source fields after first failure, want at most 1", n)
 	}
 }
 

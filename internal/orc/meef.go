@@ -40,6 +40,7 @@ func MeasureMEEF(sim *optics.Simulator, threshold float64, mask []geom.Polygon,
 		if err != nil {
 			return 0, err
 		}
+		defer im.Release()
 		return resist.MeasureCD(im, threshold, float64(cutAt.X), float64(cutAt.Y), horizontal, maxSearch)
 	}
 	nominal, err := measure(0)

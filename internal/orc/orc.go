@@ -118,6 +118,7 @@ func (c *Checker) Check(target []geom.Polygon, mask opc.Result, window geom.Rect
 	if err != nil {
 		return Report{}, fmt.Errorf("orc: imaging: %w", err)
 	}
+	defer im.Release()
 	return c.CheckOnImage(im, target, mask), nil
 }
 

@@ -76,6 +76,7 @@ func AnalyzeWindow(sim *optics.Simulator, threshold float64, mask []geom.Polygon
 			}
 			res.InSpec[f][d] = ok
 		}
+		im.Release()
 	}
 	return res, nil
 }

@@ -30,6 +30,7 @@ func CalibrateThreshold(sim *optics.Simulator, anchorCD, anchorPitch geom.Coord)
 	if err != nil {
 		return 0, fmt.Errorf("resist: calibration imaging: %w", err)
 	}
+	defer im.Release()
 	target := float64(anchorCD)
 	lo, hi := 0.05, 0.95
 	measure := func(th float64) (float64, bool) {

@@ -16,6 +16,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -26,7 +27,6 @@ import (
 	"goopc/internal/faults"
 	"goopc/internal/geom"
 	"goopc/internal/obs/trace"
-	"goopc/internal/optics"
 )
 
 // State is a job's lifecycle position.
@@ -59,10 +59,10 @@ type FlowSpec struct {
 	// -fast uses 5 / 1200).
 	SourceSteps int     `json:"sourceSteps,omitempty"`
 	GuardNM     float64 `json:"guardNM,omitempty"`
-	// Precision selects the SOCS imaging precision ("" or "f64" for
-	// float64, "f32" for the complex64 coarse kernel path). Part of the
-	// calibration key: the threshold and bias table must come from the
-	// same numeric path the job images with.
+	// Precision is accepted only so that a client still asking for the
+	// removed float32 imaging path is refused (422) instead of silently
+	// corrected in float64: "" and the float64 spellings pass, anything
+	// else is errPrecision. It selects nothing.
 	Precision string `json:"precision,omitempty"`
 	// BiasSpaces are the rule-table environment bins.
 	BiasSpaces []geom.Coord `json:"biasSpaces,omitempty"`
@@ -92,10 +92,14 @@ type FlowSpec struct {
 	Prior string `json:"prior,omitempty"`
 }
 
+// errPrecision refuses a job that asks for an imaging precision other
+// than float64, the only one there is.
+var errPrecision = errors.New("flow.precision: only f64 imaging exists (the f32 path was removed)")
+
 // calibKey returns the cache key for the calibration this spec needs.
 func (fs FlowSpec) calibKey() string {
-	return fmt.Sprintf("src=%d|guard=%g|bias=%v|anchor=%d/%d|prec=%s",
-		fs.SourceSteps, fs.GuardNM, fs.BiasSpaces, fs.AnchorCD, fs.AnchorPitch, fs.Precision)
+	return fmt.Sprintf("src=%d|guard=%g|bias=%v|anchor=%d/%d",
+		fs.SourceSteps, fs.GuardNM, fs.BiasSpaces, fs.AnchorCD, fs.AnchorPitch)
 }
 
 // JobSpec describes one correction job: what to correct (an uploaded
@@ -167,8 +171,10 @@ func (js *JobSpec) validate(hasUpload bool) error {
 			return err
 		}
 	}
-	if _, err := optics.ParsePrecision(js.Flow.Precision); err != nil {
-		return err
+	switch js.Flow.Precision {
+	case "", "f64", "float64", "double":
+	default:
+		return fmt.Errorf("%w: %q", errPrecision, js.Flow.Precision)
 	}
 	if _, err := parseDuration(js.Flow.TileTimeout); err != nil {
 		return fmt.Errorf("tileTimeout: %w", err)

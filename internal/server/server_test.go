@@ -205,6 +205,28 @@ func TestServerEndToEndParity(t *testing.T) {
 	}
 }
 
+// TestServerRefusesRemovedPrecision: the float32 imaging path is gone;
+// a spec that still asks for it is refused with 422 rather than run in
+// float64 behind the client's back, while the float64 spellings (and
+// silence) are admitted as before.
+func TestServerRefusesRemovedPrecision(t *testing.T) {
+	env := startTestServer(t, nil)
+	small := fourClusters()[:1]
+	spec := JobSpec{Level: "L1", TileNM: 2500, Flow: testSpec()}
+	spec.Flow.Precision = "f32"
+	_, err := env.c.SubmitGDS(context.Background(), spec, bytes.NewReader(gdsBytes(t, small)))
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("precision f32: got %v, want 422", err)
+	}
+	spec.Flow.Precision = "f64"
+	st, err := env.c.SubmitGDS(context.Background(), spec, bytes.NewReader(gdsBytes(t, small)))
+	if err != nil {
+		t.Fatalf("precision f64 refused: %v", err)
+	}
+	waitState(t, env.c, st.ID, func(s JobStatus) bool { return s.State == StateDone }, "done")
+}
+
 // TestServerAdmissionBackpressure exercises both admission gates: the
 // per-job tile budget (422) and the queue-depth cap (429 with a
 // Retry-After hint), plus the goopc_server_* metric series.

@@ -508,9 +508,6 @@ func buildFlow(fs FlowSpec) (*core.Flow, error) {
 	if fs.GuardNM > 0 {
 		s.GuardNM = fs.GuardNM
 	}
-	// Precision was validated at admission; a decode error here means a
-	// hand-edited spec file, which Settings.Validate will reject anyway.
-	s.Precision, _ = optics.ParsePrecision(fs.Precision)
 	return core.NewFlow(core.Options{
 		Optics:      s,
 		AnchorCD:    fs.AnchorCD,

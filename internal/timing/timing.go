@@ -128,6 +128,7 @@ func MeasureGates(sim *optics.Simulator, threshold float64, mask []geom.Polygon,
 		res := GateResult{Gate: g, PrintedL: math.NaN()}
 		cd, err := resist.MeasureCD(im, threshold, float64(c.X), float64(c.Y),
 			g.CutHorizontal, float64(4*g.DrawnL))
+		im.Release()
 		if err == nil {
 			res.PrintedL = cd
 			res.Delay = dev.DelayFactor(cd)
