@@ -46,9 +46,10 @@ server-integration:
 # job, one worker is SIGKILLed mid-shard, and the run must still finish
 # with output bit-identical to the single-process engine — plus, on
 # machines with >=4 CPUs, beat the forced-serial run on wall clock.
-# Never cached, so the kill/requeue actually happens every run.
+# Never cached, so the kill/requeue actually happens every run; run
+# three times, so a race that fails one run in a few shows up here.
 cluster-smoke:
-	go test -count=1 -run '^TestClusterSmoke$$' ./internal/server/
+	go test -count=3 -run '^TestClusterSmoke$$' ./internal/server/
 	go test -count=1 -race -run '^TestCluster' ./internal/cluster/
 
 # Pattern-library cold/warm smoke (DESIGN.md 5f): a tiny workload is

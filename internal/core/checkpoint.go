@@ -80,15 +80,6 @@ func (c *Checkpoint) Entries() int {
 	return n
 }
 
-// lookup returns the completed entry for (pass, key), if present.
-func (c *Checkpoint) lookup(pass int, key string) (CheckpointEntry, bool) {
-	if c == nil {
-		return CheckpointEntry{}, false
-	}
-	e, ok := c.Passes[pass][key]
-	return e, ok
-}
-
 // add records a completed class result.
 func (c *Checkpoint) add(pass int, key string, e CheckpointEntry) {
 	m := c.Passes[pass]
@@ -163,9 +154,12 @@ func classKeyHash(key []byte) string {
 // checkpoint from one may seed the other.
 func (f *Flow) runFingerprint(target []geom.Polygon, level Level, tile geom.Coord, passes int) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v%d|%s|tile=%d|passes=%d|halo=%d|iter=%d/%d|damp=%g|eps=%g|dirty=%d|th=%.12g|dedup=%t|skip=%t|spec=%+v|mrc=%+v|",
+	// dirty=0 is a constant: the hashed format predates the removal of
+	// the dirty-tile tolerance, and keeping the token keeps every
+	// checkpoint written since valid (TestFingerprintsPinned).
+	fmt.Fprintf(h, "v%d|%s|tile=%d|passes=%d|halo=%d|iter=%d/%d|damp=%g|eps=%g|dirty=0|th=%.12g|dedup=%t|skip=%t|spec=%+v|mrc=%+v|",
 		checkpointVersion, level, tile, passes, f.Ambit,
-		f.ModelIter1, f.ModelIterFull, f.Damping, f.ConvergeEps, f.DirtyEps,
+		f.ModelIter1, f.ModelIterFull, f.Damping, f.ConvergeEps,
 		f.Threshold, f.DisableDedup, f.DisableDirtySkip, f.Spec, f.MRC)
 	if f.Prior != nil {
 		// A warmed run's tile results depend on the table contents, so a
@@ -210,29 +204,44 @@ func newCkptWriter(ck *Checkpoint, path string, every time.Duration, rec *trace.
 	return &ckptWriter{ck: ck, path: path, every: every, last: time.Now(), tw: rec.Worker(0)}
 }
 
+// lookup consults the (resume-seeded) checkpoint for a finished class
+// result. A nil writer (no checkpointing) and an empty key never hit.
+func (w *ckptWriter) lookup(pass int, key string) (CheckpointEntry, bool) {
+	if w == nil || key == "" {
+		return CheckpointEntry{}, false
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	e, ok := w.ck.Passes[pass][key]
+	return e, ok
+}
+
 // add records one completed class and flushes if the interval elapsed.
 func (w *ckptWriter) add(pass int, key string, e CheckpointEntry) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.ck.add(pass, key, e)
-	if w.path == "" || time.Since(w.last) < w.every {
+	if time.Since(w.last) < w.every {
 		return nil
 	}
-	w.last = time.Now()
-	mCheckpointWrites.Inc()
-	w.tw.Emit(trace.CheckpointWrite, pass, geom.Rect{}, w.ck.Entries(), 0, 0, w.path)
-	return w.ck.WriteFile(w.path)
+	return w.writeLocked(pass)
 }
 
 // flush writes the current state unconditionally (run end, cancel).
 func (w *ckptWriter) flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.writeLocked(0)
+}
+
+// writeLocked writes the checkpoint file, if the run has one; w.mu is
+// held.
+func (w *ckptWriter) writeLocked(pass int) error {
 	if w.path == "" {
 		return nil
 	}
 	w.last = time.Now()
 	mCheckpointWrites.Inc()
-	w.tw.Emit(trace.CheckpointWrite, 0, geom.Rect{}, w.ck.Entries(), 0, 0, w.path)
+	w.tw.Emit(trace.CheckpointWrite, pass, geom.Rect{}, w.ck.Entries(), 0, 0, w.path)
 	return w.ck.WriteFile(w.path)
 }

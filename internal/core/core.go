@@ -89,21 +89,10 @@ type Flow struct {
 	// which tiled model correction stops iterating (model.Engine.RMSEps).
 	// Zero disables the early exit and always spends the full budget.
 	ConvergeEps float64
-	// DirtyEps is the dirty-tile stitching tolerance (DBU): a pass-1
-	// edge movement is propagated to neighboring tiles' pass-2
-	// schedules only when it exceeds this. Zero (the default) treats
-	// any movement as dirty-making, which makes the dirty-tile pass 2
-	// exact: skipped tiles are provably those whose re-correction would
-	// reproduce their pass-1 result.
-	DirtyEps geom.Coord
 	// DisableDedup and DisableDirtySkip turn off the tile-deduplication
 	// and clean-tile-skip scheduler optimizations; both are exact, so
 	// the switches exist for verification and benchmarking, not safety.
 	DisableDedup, DisableDirtySkip bool
-	// RetargetMinCD, when positive, widens drawn features narrower than
-	// this before any correction (the pre-OPC retargeting stage); the
-	// EPE target remains the retargeted geometry.
-	RetargetMinCD geom.Coord
 	// Span, when non-nil, receives child spans for each CorrectWindowed
 	// context pass (obs phase tracing). Set it from the driving tool
 	// before a run; nil (the default) traces nothing. Not for use from
@@ -267,13 +256,6 @@ func (f *Flow) Correct(target []geom.Polygon, level Level) (opc.Result, *model.C
 	if len(target) == 0 {
 		return opc.Result{}, nil, fmt.Errorf("core: empty target")
 	}
-	if f.RetargetMinCD > 0 && level != L0 {
-		rt, err := opc.Retarget(target, f.RetargetMinCD)
-		if err != nil {
-			return opc.Result{}, nil, err
-		}
-		target = rt
-	}
 	switch level {
 	case L0:
 		return opc.Uncorrected(target), nil, nil
@@ -330,13 +312,6 @@ func (f *Flow) CorrectSample(target []geom.Polygon, level Level) (opc.Result, mo
 	}
 	if level != L2 && level != L3 {
 		return opc.Result{}, model.Convergence{}, nil, fmt.Errorf("core: CorrectSample needs a model level, got %s", level)
-	}
-	if f.RetargetMinCD > 0 {
-		rt, err := opc.Retarget(target, f.RetargetMinCD)
-		if err != nil {
-			return opc.Result{}, model.Convergence{}, nil, err
-		}
-		target = rt
 	}
 	eng := f.modelEngine(target, level)
 	// Sample runs mirror the tiled production loop's stall-based early

@@ -450,29 +450,3 @@ func TestCorrectCellsNoTop(t *testing.T) {
 		t.Error("no top should fail")
 	}
 }
-
-func TestFlowRetargeting(t *testing.T) {
-	f := testFlow(t)
-	// Work on a copy so the shared flow is unchanged.
-	f2 := *f
-	f2.RetargetMinCD = 180
-	// A 120-wide line: unprintable as drawn, retargeted to 180 first.
-	target := []geom.Polygon{geom.R(-60, -2000, 60, 2000).Polygon()}
-	res, _, err := f2.Correct(target, L2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb := geom.RegionFromPolygons(res.Corrected...).BBox()
-	if bb.W() < 180 {
-		t.Errorf("retargeted+corrected width = %d, want >= 180", bb.W())
-	}
-	// L0 passes the drawn data through untouched (the mask *is* the
-	// design at level 0).
-	res0, _, err := f2.Correct(target, L0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if geom.RegionFromPolygons(res0.Corrected...).BBox().W() != 120 {
-		t.Error("L0 must not retarget")
-	}
-}

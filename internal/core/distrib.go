@@ -15,9 +15,9 @@ import (
 type ClassSolveRequest struct {
 	// Pass is the context pass the class belongs to; Key its
 	// fixed-size canonical class-key hash (the checkpoint key).
-	Pass int         `json:"pass"`
-	Key  string      `json:"key"`
-	Core geom.Rect   `json:"core"`
+	Pass int       `json:"pass"`
+	Key  string    `json:"key"`
+	Core geom.Rect `json:"core"`
 	// Active is the geometry under correction clipped to the core;
 	// Halo the frozen context ring around it.
 	Active []geom.Polygon `json:"active"`

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"goopc/internal/geom"
+	"goopc/internal/obs"
 	"goopc/internal/obs/trace"
 	"goopc/internal/opc"
 	"goopc/internal/opc/model"
@@ -36,9 +37,6 @@ type TileStats struct {
 	// Iterations is the total model-iteration count over all engine
 	// runs — the quantity the convergence early-exit shrinks.
 	Iterations int
-	// KernelHits and KernelMisses are the simulator kernel-cache
-	// statistics accumulated during this run.
-	KernelHits, KernelMisses int64
 	// Passes is the number of context passes run.
 	Passes int
 	// Seconds is the wall-clock correction time (all tiles, all passes).
@@ -133,10 +131,9 @@ type tileJob struct {
 //     is translated to every placement (exact — the imaging stack is
 //     translation-invariant for integer shifts).
 //   - Pass 2 re-corrects only dirty tiles: tiles whose halo ring
-//     intersects geometry that moved in pass 1 (beyond Flow.DirtyEps).
-//     With DirtyEps zero the skip is exact: a clean tile's context is
-//     area-identical across passes, so re-correction would reproduce
-//     its pass-1 result.
+//     intersects geometry that moved in pass 1. The skip is exact: a
+//     clean tile's context is area-identical across passes, so
+//     re-correction would reproduce its pass-1 result.
 //   - The engine stops iterating once the EPE-RMS improvement drops
 //     below Flow.ConvergeEps instead of always spending MaxIter.
 //
@@ -200,18 +197,16 @@ func (f *Flow) CorrectWindowedCtx(ctx context.Context, target []geom.Polygon, le
 	if tile < 2*f.Ambit {
 		return opc.Result{}, st, fmt.Errorf("core: tile %d smaller than twice the ambit %d", tile, f.Ambit)
 	}
-	st.Polygons = len(target)
-	halo := f.Ambit
-	passes := f.TilePasses
-	if passes < 1 {
-		passes = 2
+	r := &tileRun{f: f, ctx: ctx, level: level, tile: tile, sched: f.Tracer.Worker(0)}
+	r.st = TileStats{Polygons: len(target), Passes: f.TilePasses}
+	if r.st.Passes < 1 {
+		r.st.Passes = 2
 	}
 	if level == L2 {
 		// Single-iteration correction moves edges too little for
 		// context double-counting to matter; one pass.
-		passes = 1
+		r.st.Passes = 1
 	}
-	st.Passes = passes
 
 	// Cross-run pattern library (DESIGN.md 5f). A shared Flow.PatLib
 	// (the opcd server's) takes precedence; otherwise PatternLibPath
@@ -221,565 +216,538 @@ func (f *Flow) CorrectWindowedCtx(ctx context.Context, target []geom.Polygon, le
 	if plib == nil && f.PatternLibPath != "" {
 		owned, perr := patlib.Open(f.PatternLibPath, f.PatLibReadOnly)
 		if perr != nil {
-			return opc.Result{}, st, fmt.Errorf("core: pattern library %s: %w", f.PatternLibPath, perr)
+			return opc.Result{}, r.st, fmt.Errorf("core: pattern library %s: %w", f.PatternLibPath, perr)
 		}
 		defer owned.Close()
 		plib = owned
 	}
-	var psess *patlib.Session
 	if plib != nil {
-		psess = plib.Session(f.patlibFingerprint(tile))
+		r.psess = plib.Session(f.patlibFingerprint(tile))
 	}
 
 	// Checkpoint/resume setup. The fingerprint ties artifacts to this
-	// exact (target, level, settings) combination. needCanon gates the
-	// canonical-key serialization (dedup or checkpoint), needHash the
-	// fixed-size digest checkpoint storage and the pattern library use.
-	var ckpt *ckptWriter
-	needHash := f.CheckpointPath != "" || f.Resume != nil || psess != nil || f.ClassSolver != nil
-	needCanon := !f.DisableDedup || needHash
-	if needHash {
-		fp := f.runFingerprint(target, level, tile, passes)
+	// exact (target, level, settings) combination. needHash gates the
+	// fixed-size class-key digest checkpoint storage and the pattern
+	// library use.
+	r.needHash = f.CheckpointPath != "" || f.Resume != nil || r.psess != nil || f.ClassSolver != nil
+	if r.needHash {
+		fp := f.runFingerprint(target, level, tile, r.st.Passes)
 		seed := f.Resume
 		if seed != nil && seed.Fingerprint != fp {
-			return opc.Result{}, st, fmt.Errorf("core: checkpoint fingerprint %.12s.. does not match run %.12s.. (different target or settings): %w",
+			return opc.Result{}, r.st, fmt.Errorf("core: checkpoint fingerprint %.12s.. does not match run %.12s.. (different target or settings): %w",
 				seed.Fingerprint, fp, ErrCheckpointMismatch)
 		}
 		if seed == nil {
 			seed = NewCheckpoint(fp, level.String(), tile)
 		}
-		ckpt = newCkptWriter(seed, f.CheckpointPath, f.CheckpointEvery, f.Tracer)
+		r.ckpt = newCkptWriter(seed, f.CheckpointPath, f.CheckpointEvery, f.Tracer)
 		// Final flush on every exit path — success, failure, SIGINT —
 		// so completed work always survives the process.
 		defer func() {
-			if ferr := ckpt.flush(); ferr != nil && retErr == nil {
+			if ferr := r.ckpt.flush(); ferr != nil && retErr == nil {
 				retErr = ferr
 			}
 		}()
 	}
 
-	idx := geom.NewGridIndex(tile)
-	var bounds geom.Rect
-	for i, p := range target {
-		bb := p.BBox()
-		idx.Insert(bb, int32(i))
-		if i == 0 {
-			bounds = bb
-		} else {
-			bounds = bounds.Union(bb)
-		}
-	}
-
-	// Tile enumeration with empty-tile pruning: the index proves most
-	// empty tiles empty from bounding boxes alone; the clip catches
-	// boxes that touch a core without contributing geometry.
-	var jobs []tileJob
-	for y := bounds.Y0; y < bounds.Y1; y += tile {
-		for x := bounds.X0; x < bounds.X1; x += tile {
-			core := geom.Rect{X0: x, Y0: y, X1: x + tile, Y1: y + tile}
-			if len(idx.CollectIDs(core)) == 0 {
-				st.EmptyPruned++
-				continue
-			}
-			active := clipToRegion(target, idx, core, geom.RegionFromRects(core))
-			if len(active) == 0 {
-				st.EmptyPruned++
-				continue
-			}
-			jobs = append(jobs, tileJob{core: core, active: active})
-		}
-	}
-	st.Tiles = len(jobs)
-	if len(jobs) == 0 {
-		return opc.Result{}, st, fmt.Errorf("core: no tiles contain geometry")
+	r.schedule(target)
+	if len(r.jobs) == 0 {
+		return opc.Result{}, r.st, fmt.Errorf("core: no tiles contain geometry")
 	}
 	mRuns.Inc()
-	mTilesScheduled.Add(int64(len(jobs)))
-	mTilesEmptyPruned.Add(int64(st.EmptyPruned))
+	mTilesScheduled.Add(int64(len(r.jobs)))
+	mTilesEmptyPruned.Add(int64(r.st.EmptyPruned))
 
-	// Flight recorder (DESIGN.md 5h). The scheduler's serial stages emit
-	// on worker 0; each pool goroutine emits on its own ring. A nil
-	// Flow.Tracer yields nil handles and every Emit below is a no-op.
-	sched := f.Tracer.Worker(0)
-
-	kh0, km0 := f.Sim.KernelCacheStats()
 	t0 := time.Now()
-
-	// Per-tile state carried across passes.
-	results := make([][]geom.Polygon, len(jobs))
-	tileRMS := make([]float64, len(jobs))
-	// xorBase is what each tile's result is diffed against to find
-	// moved geometry: the drawn active before pass 1, the previous
-	// pass's result afterwards.
-	xorBase := make([][]geom.Polygon, len(jobs))
-	for i := range jobs {
-		xorBase[i] = jobs[i].active
+	var err error
+	for pass := 1; pass <= r.st.Passes && err == nil; pass++ {
+		err = r.runPass(pass, parallel)
 	}
-	var movedIdx *geom.GridIndex
+	if err != nil {
+		r.st.Seconds = time.Since(t0).Seconds()
+		return opc.Result{}, r.st, err
+	}
+	out := r.output()
+	r.st.Seconds = time.Since(t0).Seconds()
+	return out, r.st, nil
+}
 
+// tileRun is one CorrectWindowedCtx run: the schedule, the reuse stores,
+// per-tile state carried across passes, and the statistics so far.
+type tileRun struct {
+	f     *Flow
+	ctx   context.Context
+	level Level
+	tile  geom.Coord
+	jobs  []tileJob
+	ckpt  *ckptWriter
+	psess *patlib.Session
+	// needHash gates the fixed-size class-key digest (the checkpoint,
+	// remote and pattern-library key).
+	needHash bool
+	// sched is the flight-recorder ring of the scheduler's serial stages
+	// (DESIGN.md 5h); each pool goroutine emits on its own ring. A nil
+	// Flow.Tracer yields nil handles and every Emit is a no-op.
+	sched *trace.Worker
+	st    TileStats
 	// Per-run tile progress, mirrored to Flow.Progress subscribers (the
 	// global goopc_tiles_done gauge stays process-wide).
-	var doneTiles atomic.Int64
-	progress := func(pass, add int) {
-		if add > 0 {
-			doneTiles.Add(int64(add))
+	doneTiles atomic.Int64
+
+	// results and tileRMS hold each tile's latest placed result. xorBase
+	// is what that result is diffed against to find moved geometry: the
+	// drawn active before pass 1, the previous pass's result afterwards.
+	// The context source is the drawn layer on pass 1, the previous
+	// pass's corrected layer afterwards.
+	results, xorBase [][]geom.Polygon
+	tileRMS          []float64
+	movedIdx, ctxIdx *geom.GridIndex
+	ctxPolys         []geom.Polygon
+
+	// Per pass: each scheduled tile's clipped halo context and the
+	// remote solver's answers. firstErr is the run's first fatal error.
+	contexts [][]geom.Polygon
+	remote   map[string]CheckpointEntry
+	failOnce sync.Once
+	firstErr error
+}
+
+// schedule enumerates the tiles that hold geometry and sets up the
+// per-tile state carried across passes. Empty tiles are pruned: the
+// index proves most of them empty from bounding boxes alone; the clip
+// catches boxes that touch a core without contributing geometry.
+func (r *tileRun) schedule(target []geom.Polygon) {
+	idx, cores, pruned := gridCores(target, r.tile)
+	r.st.EmptyPruned = pruned
+	for _, core := range cores {
+		active := clipToRegion(target, idx, core, geom.RegionFromRects(core))
+		if len(active) == 0 {
+			r.st.EmptyPruned++
+			continue
 		}
-		if f.Progress != nil {
-			f.Progress(ProgressEvent{
-				Pass: pass, Passes: passes,
-				DoneTiles: int(doneTiles.Load()), TotalTiles: len(jobs),
-			})
-		}
+		r.jobs = append(r.jobs, tileJob{core: core, active: active})
 	}
-
-	// Context source: the drawn layer on pass 1, the previous pass's
-	// corrected layer afterwards.
-	ctxPolys := target
-	ctxIdx := idx
-	for pass := 1; pass <= passes; pass++ {
-		if cerr := ctx.Err(); cerr != nil {
-			st.Seconds = time.Since(t0).Seconds()
-			return opc.Result{}, st, fmt.Errorf("core: pass %d: %w", pass, cerr)
-		}
-		passSpan := f.Span.Start(fmt.Sprintf("tile-pass-%d", pass))
-		mPasses.Inc()
-		mTilesTotal.Set(float64(len(jobs)))
-		mTilesDone.Set(0)
-		doneTiles.Store(0)
-		progress(pass, 0)
-		// Stage 1 (serial, cheap): dirty filtering and dedup classing.
-		// A class groups tiles whose active+context geometry is
-		// identical after translating each tile origin to (0,0); the
-		// representative is the lowest job index, so classing is
-		// deterministic and independent of worker scheduling. The dedup
-		// map uses the exact canonical encoding (no collisions); the
-		// checkpoint key is its fixed-size hash.
-		type tileClass struct {
-			rep     int
-			members []int
-			key     string
-		}
-		var classes []*tileClass
-		classOf := map[string]int{}
-		contexts := make([][]geom.Polygon, len(jobs))
-		var keyBuf []byte
-		for i := range jobs {
-			core := jobs[i].core
-			window := core.Grow(halo)
-			sched.Emit(trace.TileScheduled, pass, core, 1, 0, 0, "")
-			if pass > 1 && !f.DisableDirtySkip && !ringDirty(movedIdx, window, core) {
-				// Context unchanged within the halo: the engine would
-				// reproduce the previous pass's result. Keep it.
-				sched.Emit(trace.TileCleanSkip, pass, core, 1, 0, 0, "")
-				st.CleanTiles++
-				mTilesClean.Inc()
-				mTilesDone.Add(1)
-				progress(pass, 1)
-				continue
-			}
-			ring := geom.RegionFromRects(window).Subtract(geom.RegionFromRects(core))
-			contexts[i] = clipToRegion(ctxPolys, ctxIdx, window, ring)
-			var key string
-			if needCanon {
-				origin := geom.Pt(core.X0, core.Y0)
-				keyBuf = keyBuf[:0]
-				keyBuf = geom.AppendCanonicalPolygons(keyBuf, jobs[i].active, origin)
-				keyBuf = geom.AppendCanonicalPolygons(keyBuf, contexts[i], origin)
-				if needHash {
-					key = classKeyHash(keyBuf)
-				}
-			}
-			if f.DisableDedup {
-				classes = append(classes, &tileClass{rep: i, members: []int{i}, key: key})
-				continue
-			}
-			exact := string(keyBuf)
-			if ci, ok := classOf[exact]; ok {
-				classes[ci].members = append(classes[ci].members, i)
-			} else {
-				classOf[exact] = len(classes)
-				classes = append(classes, &tileClass{rep: i, members: []int{i}, key: key})
-			}
-		}
-
-		// Distribution seam (DESIGN.md 5i): classes the resume checkpoint
-		// does not already cover are offered to the external class solver
-		// — the cluster coordinator — in canonical frame before the local
-		// pool runs. The solver is best-effort: any class it does not
-		// return falls through to the local ladder below, so a degenerate
-		// cluster costs nothing beyond this call.
-		var remote map[string]CheckpointEntry
-		if f.ClassSolver != nil && ctx.Err() == nil {
-			reqs := make([]ClassSolveRequest, 0, len(classes))
-			for _, c := range classes {
-				if _, ok := ckptLookup(ckpt, pass, c.key); ok {
-					continue
-				}
-				j := jobs[c.rep]
-				shift := geom.Pt(-j.core.X0, -j.core.Y0)
-				reqs = append(reqs, ClassSolveRequest{
-					Pass:   pass,
-					Key:    c.key,
-					Core:   j.core.Translate(shift),
-					Active: geom.TranslatePolygons(j.active, shift),
-					Halo:   geom.TranslatePolygons(contexts[c.rep], shift),
-				})
-			}
-			if len(reqs) > 0 {
-				remote = f.ClassSolver(ctx, level, tile, reqs)
-			}
-		}
-
-		// Stage 2 (parallel): correct one representative per class.
-		// Multi-member classes correct at the canonical origin so every
-		// placement receives the identical solution; singletons correct
-		// in place. Each class runs through the resilience ladder
-		// (retries, then rule-based and uncorrected fallbacks) inside
-		// correctClass, or is restored from the resume checkpoint.
-		classRes := make([]classResult, len(classes))
-		var mu sync.Mutex
-		var firstErr error
-		// One call per class, each on whichever goroutine the compute
-		// budget has for it: the caller plus up to one extra per spare
-		// core. A pass that holds every core makes the imaging fan-outs
-		// underneath run inline; as its tail drains they fan out again.
-		solve := func(worker, ci int) {
-			// Worker 0 is the coordinator's ring; solving goroutines
-			// record on rings 1 and up.
-			tw := f.Tracer.Worker(int32(worker) + 1)
-			c := classes[ci]
-			if cerr := ctx.Err(); cerr != nil {
-				// Run cancelled: drain the queue without working.
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core: pass %d: %w", pass, cerr)
-				}
-				mu.Unlock()
-				return
-			}
-			j := jobs[c.rep]
-			core := j.core
-			active := j.active
-			haloPolys := contexts[c.rep]
-			canonical := len(c.members) > 1
-			origin := geom.Pt(core.X0, core.Y0)
-			if canonical {
-				// Canonical placement: tile origin at (0,0).
-				shift := geom.Pt(-core.X0, -core.Y0)
-				core = core.Translate(shift)
-				active = geom.TranslatePolygons(active, shift)
-				haloPolys = geom.TranslatePolygons(haloPolys, shift)
-			}
-			if ent, ok := ckptLookup(ckpt, pass, c.key); ok {
-				// Finished in a previous (checkpointed) run:
-				// restore instead of correcting. Entries are
-				// canonical; singletons translate back in place.
-				tw.Emit(trace.TileResumed, pass, j.core, len(c.members), ent.Iters, ent.RMS, "")
-				cr := classResult{rms: ent.RMS, iters: ent.Iters, resumed: true}
-				if canonical {
-					cr.polys = ent.Polys
-				} else {
-					cr.polys = geom.TranslatePolygons(ent.Polys, origin)
-				}
-				classRes[ci] = cr
-				mTilesDone.Add(float64(len(c.members)))
-				progress(pass, len(c.members))
-				return
-			}
-			if ent, ok := remote[c.key]; ok {
-				// Solved by a cluster worker: entries arrive in the
-				// canonical checkpoint format, so folding one is the
-				// resume path with a different source. Remote entries
-				// are always clean engine solutions (workers report
-				// degraded classes as unsolved), so they are
-				// checkpoint and library material like a local solve.
-				tw.Emit(trace.TileRemote, pass, j.core, len(c.members), ent.Iters, ent.RMS, "")
-				cr := classResult{rms: ent.RMS, iters: ent.Iters, remote: true}
-				if canonical {
-					cr.polys = ent.Polys
-				} else {
-					cr.polys = geom.TranslatePolygons(ent.Polys, origin)
-				}
-				classRes[ci] = cr
-				if psess != nil {
-					cActive, cHalo := active, haloPolys
-					if !canonical {
-						shift := geom.Pt(-core.X0, -core.Y0)
-						cActive = geom.TranslatePolygons(active, shift)
-						cHalo = geom.TranslatePolygons(haloPolys, shift)
-					}
-					psess.Append(level.String(), c.key, tile, cActive, cHalo, ent.Polys, ent.RMS, ent.Iters)
-				}
-				if ckpt != nil {
-					if err := ckpt.add(pass, c.key, ent); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-				mTilesDone.Add(float64(len(c.members)))
-				progress(pass, len(c.members))
-				return
-			}
-			if polys, rms, iters, ok := psess.Lookup(level.String(), c.key); ok {
-				// Cross-run exact hit: the library stores canonical
-				// (frame-origin) solutions under the same contract
-				// as a checkpoint entry, so reuse is bit-identical.
-				tw.Emit(trace.TileLibExact, pass, j.core, len(c.members), iters, rms, "")
-				cr := classResult{rms: rms, iters: iters, libExact: true}
-				if canonical {
-					cr.polys = polys
-				} else {
-					cr.polys = geom.TranslatePolygons(polys, origin)
-				}
-				classRes[ci] = cr
-				if ckpt != nil {
-					if err := ckpt.add(pass, c.key, CheckpointEntry{Polys: polys, RMS: rms, Iters: iters}); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-				mTilesDone.Add(float64(len(c.members)))
-				progress(pass, len(c.members))
-				return
-			}
-			// Canonical (frame-origin) geometry for the library's
-			// similarity probe and the post-solve append; classes
-			// with multiple members are already canonical.
-			cActive, cHalo := active, haloPolys
-			if psess != nil && !canonical {
-				shift := geom.Pt(-core.X0, -core.Y0)
-				cActive = geom.TranslatePolygons(active, shift)
-				cHalo = geom.TranslatePolygons(haloPolys, shift)
-			}
-			if sr, ok := psess.Similar(level.String(), tile, cActive, cHalo); ok {
-				// Similarity hit: a stored solution matched under a
-				// frame-preserving orientation and passed the
-				// halo-validity check. The carried solution is
-				// engine-equivalent within ConvergeEps, not
-				// bit-identical — fragmentation is not orientation-
-				// covariant — so it is accounted separately.
-				tw.Emit(trace.TileLibSimilar, pass, j.core, len(c.members), sr.Iters, sr.RMS, "")
-				cr := classResult{rms: sr.RMS, iters: sr.Iters, libSimilar: true}
-				if canonical {
-					cr.polys = sr.Polys
-				} else {
-					cr.polys = geom.TranslatePolygons(sr.Polys, origin)
-				}
-				classRes[ci] = cr
-				if ckpt != nil {
-					if err := ckpt.add(pass, c.key, CheckpointEntry{Polys: sr.Polys, RMS: sr.RMS, Iters: sr.Iters}); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-				mTilesDone.Add(float64(len(c.members)))
-				progress(pass, len(c.members))
-				return
-			}
-			window := core.Grow(halo)
-			// Everything is clipped to core + halo, so the window
-			// never exceeds tile + 2*halo regardless of how long
-			// the original wires are.
-			mWorkersBusy.Add(1)
-			tw.Emit(trace.SolveBegin, pass, j.core, len(c.members), 0, 0, "")
-			tc0 := time.Now()
-			cr := f.correctClass(ctx, level, active, haloPolys, core, window, tw, pass, j.core)
-			mTileSeconds.Observe(time.Since(tc0).Seconds())
-			solveDetail := cr.degraded
-			if cr.err != nil {
-				solveDetail = "aborted: " + cr.err.Error()
-			}
-			tw.Emit(trace.SolveEnd, pass, j.core, len(c.members), cr.iters, cr.rms, solveDetail)
-			if cr.degraded != "" {
-				tw.Emit(trace.TileDegrade, pass, j.core, len(c.members), 0, 0, cr.degraded+": "+cr.degErr)
-			}
-			mWorkersBusy.Add(-1)
-			mTilesDone.Add(float64(len(c.members)))
-			progress(pass, len(c.members))
-			if cr.err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core: pass %d tile %v: %w", pass, jobs[c.rep].core, cr.err)
-				}
-				mu.Unlock()
-				return
-			}
-			classRes[ci] = cr
-			if (ckpt != nil || psess != nil) && cr.degraded == "" {
-				// Persist the canonical solution — to the checkpoint
-				// for resume, and to the pattern library for future
-				// runs. Degraded results are skipped on purpose: a
-				// resume re-attempts them, so fault-free resumes
-				// reproduce the fault-free output, and the library
-				// never serves a fallback as a solution. Similarity-
-				// derived results never reach here, so the library
-				// only ever holds engine-solved patterns (no
-				// derived-from-derived drift).
-				canonPolys := cr.polys
-				if !canonical {
-					canonPolys = geom.TranslatePolygons(cr.polys, geom.Pt(-origin.X, -origin.Y))
-				}
-				psess.Append(level.String(), c.key, tile, cActive, cHalo, canonPolys, cr.rms, cr.iters)
-				if ckpt != nil {
-					err := ckpt.add(pass, c.key, CheckpointEntry{Polys: canonPolys, RMS: cr.rms, Iters: cr.iters})
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-			}
-		}
-		if parallel {
-			par.Each(len(classes), solve)
-		} else {
-			for ci := range classes {
-				solve(0, ci)
-			}
-		}
-		if firstErr != nil {
-			passSpan.End()
-			st.Seconds = time.Since(t0).Seconds()
-			return opc.Result{}, st, firstErr
-		}
-
-		// Stage 3 (serial): place every class member by translating the
-		// canonical solution to its tile origin, and fold the class
-		// outcomes into the run statistics (serial, so stats and
-		// metrics are deterministic regardless of worker scheduling).
-		for ci, c := range classes {
-			cr := classRes[ci]
-			st.Retries += cr.retries
-			st.Panics += cr.panics
-			st.Timeouts += cr.timeouts
-			if cr.retries > 0 {
-				mTileRetries.Add(int64(cr.retries))
-			}
-			if cr.panics > 0 {
-				mTilePanics.Add(int64(cr.panics))
-			}
-			if cr.timeouts > 0 {
-				mTileTimeouts.Add(int64(cr.timeouts))
-			}
-			if cr.resumed {
-				st.ResumedTiles += len(c.members)
-				mTilesResumed.Add(int64(len(c.members)))
-			} else if cr.remote {
-				st.RemoteTiles += len(c.members)
-				mTilesRemote.Add(int64(len(c.members)))
-			} else if cr.libExact {
-				st.LibExactTiles += len(c.members)
-			} else if cr.libSimilar {
-				st.LibSimilarTiles += len(c.members)
-			} else {
-				st.CorrectedTiles++
-				mTilesCorrected.Inc()
-				st.Iterations += cr.iters
-				if cr.warmFrags > 0 && f.Prior != nil {
-					st.WarmTiles++
-					st.WarmFragments += cr.warmFrags
-					st.PriorSavedIters += f.Prior.ObserveWarmRun(cr.iters)
-				}
-				if len(c.members) > 1 {
-					st.ReusedTiles += len(c.members) - 1
-					mTilesReused.Add(int64(len(c.members) - 1))
-					sched.Emit(trace.TileDedup, pass, jobs[c.rep].core, len(c.members)-1, cr.iters, cr.rms, "")
-				}
-			}
-			switch cr.degraded {
-			case degradeRules:
-				st.DegradedRules += len(c.members)
-			case degradeUncorrected:
-				st.DegradedUncorrected += len(c.members)
-			}
-			if cr.degraded != "" {
-				mTilesDegraded.Add(int64(len(c.members)))
-				st.Degradations = append(st.Degradations, TileDegradation{
-					Pass: pass, Tile: jobs[c.rep].core, Members: len(c.members),
-					Mode: cr.degraded, Err: cr.degErr,
-				})
-			}
-			if len(c.members) == 1 {
-				i := c.rep
-				results[i] = cr.polys
-				tileRMS[i] = cr.rms
-				continue
-			}
-			for _, i := range c.members {
-				origin := geom.Pt(jobs[i].core.X0, jobs[i].core.Y0)
-				results[i] = geom.TranslatePolygons(cr.polys, origin)
-				tileRMS[i] = cr.rms
-			}
-		}
-
-		// Prepare the next pass: moved-geometry index for the dirty
-		// filter, and the corrected layer as the new context source.
-		if pass < passes {
-			movedIdx = geom.NewGridIndex(tile)
-			n := int32(0)
-			for i := range jobs {
-				if sameSlice(results[i], xorBase[i]) {
-					continue // clean reuse: nothing moved
-				}
-				moved := geom.RegionFromPolygons(results[i]...).
-					Xor(geom.RegionFromPolygons(xorBase[i]...))
-				for _, r := range moved.Rects() {
-					// DirtyEps is the stitching tolerance: an edge that
-					// moved by no more than eps (an XOR sliver thinner
-					// than eps) is not propagated as dirty-making.
-					if f.DirtyEps > 0 && (r.W() <= f.DirtyEps || r.H() <= f.DirtyEps) {
-						continue
-					}
-					movedIdx.Insert(r, n)
-					n++
-				}
-				xorBase[i] = results[i]
-			}
-			ctxPolys = ctxPolys[:0:0]
-			for i := range jobs {
-				ctxPolys = append(ctxPolys, results[i]...)
-			}
-			ctxIdx = geom.NewGridIndex(tile)
-			for i, p := range ctxPolys {
-				ctxIdx.Insert(p.BBox(), int32(i))
-			}
-		}
-		passSpan.End()
+	r.st.Tiles = len(r.jobs)
+	r.results = make([][]geom.Polygon, len(r.jobs))
+	r.tileRMS = make([]float64, len(r.jobs))
+	r.xorBase = make([][]geom.Polygon, len(r.jobs))
+	for i := range r.jobs {
+		r.xorBase[i] = r.jobs[i].active
 	}
+	r.ctxPolys, r.ctxIdx = target, idx
+}
 
+// output concatenates the tile results in tile order — so serial and
+// parallel runs emit identical polygon streams — and completes the run
+// statistics.
+func (r *tileRun) output() opc.Result {
 	var out opc.Result
-	for i := range jobs {
-		out.Corrected = append(out.Corrected, results[i]...)
+	for i := range r.jobs {
+		out.Corrected = append(out.Corrected, r.results[i]...)
 	}
-	st.WorstRMS = 0
-	for _, rms := range tileRMS {
-		if rms > st.WorstRMS {
-			st.WorstRMS = rms
+	for _, rms := range r.tileRMS {
+		if rms > r.st.WorstRMS {
+			r.st.WorstRMS = rms
 		}
 	}
-	if psess != nil {
+	if r.psess != nil {
 		// Per-tile hit accounting folded in stage 3; the session-level
 		// probe counters land here once per run.
-		st.LibHaloRejects = int(psess.HaloRejects.Load())
-		st.LibMisses = int(psess.Misses.Load())
-		st.LibAppends = int(psess.Appends.Load())
+		r.st.LibHaloRejects = int(r.psess.HaloRejects.Load())
+		r.st.LibMisses = int(r.psess.Misses.Load())
+		r.st.LibAppends = int(r.psess.Appends.Load())
 	}
-	kh1, km1 := f.Sim.KernelCacheStats()
-	st.KernelHits, st.KernelMisses = kh1-kh0, km1-km0
-	st.Seconds = time.Since(t0).Seconds()
-	st.Corrected = len(out.Corrected)
-	return out, st, nil
+	r.st.Corrected = len(out.Corrected)
+	return out
+}
+
+// tileClass groups the tiles of one pass whose active+context geometry
+// is identical after translating each tile origin to (0,0). rep is the
+// lowest member job index; key the class-key hash ("" when no store
+// needs it).
+type tileClass struct {
+	rep     int
+	members []int
+	key     string
+}
+
+// runPass runs one context pass: stage 1 classes the tiles, the remote
+// solver gets its offer, stage 2 resolves one representative per class
+// and stage 3 places and tallies the results.
+func (r *tileRun) runPass(pass int, parallel bool) error {
+	if cerr := r.ctx.Err(); cerr != nil {
+		return fmt.Errorf("core: pass %d: %w", pass, cerr)
+	}
+	defer r.f.Span.Start(fmt.Sprintf("tile-pass-%d", pass)).End()
+	mPasses.Inc()
+	mTilesTotal.Set(float64(len(r.jobs)))
+	mTilesDone.Set(0)
+	r.doneTiles.Store(0)
+	r.progress(pass, 0)
+	classes := r.classify(pass)
+	r.offerRemote(pass, classes)
+
+	// Stage 2 (parallel): one call per class, each on whichever
+	// goroutine the compute budget has for it: the caller plus up to
+	// one extra per spare core. A pass that holds every core makes the
+	// imaging fan-outs underneath run inline; as its tail drains they
+	// fan out again.
+	classRes := make([]classResult, len(classes))
+	solve := func(worker, ci int) { r.resolve(worker, pass, classes[ci], &classRes[ci]) }
+	if parallel {
+		par.Each(len(classes), solve)
+	} else {
+		for ci := range classes {
+			solve(0, ci)
+		}
+	}
+	if r.firstErr != nil {
+		return r.firstErr
+	}
+	r.fold(pass, classes, classRes)
+	if pass < r.st.Passes {
+		r.prepareNextPass()
+	}
+	return nil
+}
+
+// progress counts add more resolved tiles and reports the pass's state
+// to the goopc_tiles_done gauge and Flow.Progress.
+func (r *tileRun) progress(pass, add int) {
+	mTilesDone.Add(float64(add))
+	done := r.doneTiles.Add(int64(add))
+	if r.f.Progress != nil {
+		r.f.Progress(ProgressEvent{Pass: pass, Passes: r.st.Passes, DoneTiles: int(done), TotalTiles: len(r.jobs)})
+	}
+}
+
+// fail records the run's first fatal error; the pass stops at the end of
+// stage 2 and the run returns it.
+func (r *tileRun) fail(err error) { r.failOnce.Do(func() { r.firstErr = err }) }
+
+// classify is stage 1 (serial, cheap): dirty filtering and dedup
+// classing. The representative is the lowest job index, so classing is
+// deterministic and independent of worker scheduling. The dedup map
+// uses the exact canonical encoding (no collisions); the checkpoint key
+// is its fixed-size hash.
+func (r *tileRun) classify(pass int) []*tileClass {
+	f := r.f
+	var classes []*tileClass
+	classOf := map[string]int{}
+	r.contexts = make([][]geom.Polygon, len(r.jobs))
+	var keyBuf []byte
+	for i := range r.jobs {
+		core := r.jobs[i].core
+		window := core.Grow(f.Ambit)
+		r.sched.Emit(trace.TileScheduled, pass, core, 1, 0, 0, "")
+		if pass > 1 && !f.DisableDirtySkip && !ringDirty(r.movedIdx, window, core) {
+			// Context unchanged within the halo: the engine would
+			// reproduce the previous pass's result. Keep it.
+			r.sched.Emit(trace.TileCleanSkip, pass, core, 1, 0, 0, "")
+			r.st.CleanTiles++
+			mTilesClean.Inc()
+			r.progress(pass, 1)
+			continue
+		}
+		ring := geom.RegionFromRects(window).Subtract(geom.RegionFromRects(core))
+		r.contexts[i] = clipToRegion(r.ctxPolys, r.ctxIdx, window, ring)
+		var key string
+		if !f.DisableDedup || r.needHash {
+			origin := geom.Pt(core.X0, core.Y0)
+			keyBuf = keyBuf[:0]
+			keyBuf = geom.AppendCanonicalPolygons(keyBuf, r.jobs[i].active, origin)
+			keyBuf = geom.AppendCanonicalPolygons(keyBuf, r.contexts[i], origin)
+			if r.needHash {
+				key = classKeyHash(keyBuf)
+			}
+		}
+		if f.DisableDedup {
+			classes = append(classes, &tileClass{rep: i, members: []int{i}, key: key})
+			continue
+		}
+		exact := string(keyBuf)
+		if ci, ok := classOf[exact]; ok {
+			classes[ci].members = append(classes[ci].members, i)
+		} else {
+			classOf[exact] = len(classes)
+			classes = append(classes, &tileClass{rep: i, members: []int{i}, key: key})
+		}
+	}
+	return classes
+}
+
+// offerRemote is the distribution seam (DESIGN.md 5i): classes the
+// resume checkpoint does not already cover are offered to the external
+// class solver — the cluster coordinator — in canonical frame before
+// the local pool runs. The solver is best-effort: any class it does not
+// return falls through to the rest of the resolver chain, so a
+// degenerate cluster costs nothing beyond this call.
+func (r *tileRun) offerRemote(pass int, classes []*tileClass) {
+	r.remote = nil
+	if r.f.ClassSolver == nil || r.ctx.Err() != nil {
+		return
+	}
+	reqs := make([]ClassSolveRequest, 0, len(classes))
+	for _, c := range classes {
+		if _, ok := r.ckpt.lookup(pass, c.key); ok {
+			continue
+		}
+		j := r.jobs[c.rep]
+		shift := geom.Pt(-j.core.X0, -j.core.Y0)
+		reqs = append(reqs, ClassSolveRequest{
+			Pass:   pass,
+			Key:    c.key,
+			Core:   j.core.Translate(shift),
+			Active: geom.TranslatePolygons(j.active, shift),
+			Halo:   geom.TranslatePolygons(r.contexts[c.rep], shift),
+		})
+	}
+	if len(reqs) > 0 {
+		r.remote = r.f.ClassSolver(r.ctx, r.level, r.tile, reqs)
+	}
+}
+
+// provenance names the rung of the resolver chain that produced a class
+// result. The zero value is the local solve, so correctClass results
+// need no marking.
+type provenance uint8
+
+const (
+	srcSolved     provenance = iota // local engine solve (correctClass)
+	srcResumed                      // resume checkpoint
+	srcRemote                       // Flow.ClassSolver (a cluster worker)
+	srcLibExact                     // pattern library, exact class key
+	srcLibSimilar                   // pattern library, orientation-similar
+)
+
+// rungs says what each provenance means downstream: the flight-recorder
+// event the stage-2 epilogue emits for it; the TileStats field and
+// goopc_* counter stage 3 bumps by the class's member count (the
+// pattern library counts its own hits, and a local solve is tallied
+// apart as one engine run plus dedup reuses); and where its clean
+// results are recorded — the checkpoint, so a resume skips the class,
+// and the pattern library, which only ever holds engine solutions (no
+// derived-from-derived drift).
+var rungs = [...]struct {
+	event        trace.Kind
+	tiles        func(*TileStats) *int
+	counter      *obs.Counter
+	ckpt, patlib bool
+}{
+	srcSolved:     {event: trace.SolveEnd, ckpt: true, patlib: true},
+	srcResumed:    {event: trace.TileResumed, tiles: func(st *TileStats) *int { return &st.ResumedTiles }, counter: mTilesResumed},
+	srcRemote:     {event: trace.TileRemote, tiles: func(st *TileStats) *int { return &st.RemoteTiles }, counter: mTilesRemote, ckpt: true, patlib: true},
+	srcLibExact:   {event: trace.TileLibExact, tiles: func(st *TileStats) *int { return &st.LibExactTiles }, ckpt: true},
+	srcLibSimilar: {event: trace.TileLibSimilar, tiles: func(st *TileStats) *int { return &st.LibSimilarTiles }, ckpt: true},
+}
+
+// classGeom is a class representative's geometry where it sits. A
+// singleton solves in place; a multi-member class solves in the
+// canonical frame (tile origin at (0,0)) so every placement receives the
+// identical solution. The canonical copies are built on first use,
+// since most reuse hits never need them; active is never empty, so a
+// nil cActive means not built yet.
+type classGeom struct {
+	core                         geom.Rect
+	members                      int
+	active, halo, cActive, cHalo []geom.Polygon
+}
+
+// toCanon is the shift from the placement to the canonical frame.
+func (g *classGeom) toCanon() geom.Point { return geom.Pt(-g.core.X0, -g.core.Y0) }
+
+// canonical returns the active and halo geometry in the canonical frame.
+func (g *classGeom) canonical() (active, halo []geom.Polygon) {
+	if g.cActive == nil {
+		g.cActive, g.cHalo = geom.TranslatePolygons(g.active, g.toCanon()), geom.TranslatePolygons(g.halo, g.toCanon())
+	}
+	return g.cActive, g.cHalo
+}
+
+// resolve is stage 2 for one class: it walks the resolver chain, then
+// runs the one epilogue every rung shares — emit the rung's event,
+// report progress, record the result where the rung says, and leave it
+// in *out in the frame stage 3 places it from.
+func (r *tileRun) resolve(worker, pass int, c *tileClass, out *classResult) {
+	// Worker 0 is the coordinator's ring; solving goroutines record on
+	// rings 1 and up.
+	tw := r.f.Tracer.Worker(int32(worker) + 1)
+	if cerr := r.ctx.Err(); cerr != nil {
+		// Run cancelled: drain the queue without working.
+		r.fail(fmt.Errorf("core: pass %d: %w", pass, cerr))
+		return
+	}
+	j := r.jobs[c.rep]
+	n := len(c.members)
+	g := classGeom{core: j.core, members: n, active: j.active, halo: r.contexts[c.rep]}
+	cr := r.resolveClass(tw, pass, c.key, &g)
+	rung := rungs[cr.src]
+	detail := cr.degraded
+	if cr.err != nil {
+		detail = "aborted: " + cr.err.Error()
+	}
+	tw.Emit(rung.event, pass, j.core, n, cr.iters, cr.rms, detail)
+	if cr.degraded != "" {
+		tw.Emit(trace.TileDegrade, pass, j.core, n, 0, 0, cr.degraded+": "+cr.degErr)
+	}
+	r.progress(pass, n)
+	if cr.err != nil {
+		r.fail(fmt.Errorf("core: pass %d tile %v: %w", pass, j.core, cr.err))
+		return
+	}
+	// Every rung answers in the canonical frame except the local solve,
+	// which answers in the class's solve frame; the two differ only for
+	// singletons. Degraded results are never recorded: a resume
+	// re-attempts them, so fault-free resumes reproduce the fault-free
+	// output, and the library never serves a fallback as a solution.
+	solvedInPlace := n == 1 && cr.src == srcSolved
+	toPatlib, toCkpt := rung.patlib && r.psess != nil, rung.ckpt && r.ckpt != nil
+	if cr.degraded == "" && (toPatlib || toCkpt) {
+		canon := cr.polys
+		if solvedInPlace {
+			canon = geom.TranslatePolygons(cr.polys, g.toCanon())
+		}
+		if toPatlib {
+			active, halo := g.canonical()
+			r.psess.Append(r.level.String(), c.key, r.tile, active, halo, canon, cr.rms, cr.iters)
+		}
+		if toCkpt {
+			if err := r.ckpt.add(pass, c.key, CheckpointEntry{Polys: canon, RMS: cr.rms, Iters: cr.iters}); err != nil {
+				r.fail(err)
+			}
+		}
+	}
+	if n == 1 && !solvedInPlace {
+		cr.polys = geom.TranslatePolygons(cr.polys, geom.Pt(j.core.X0, j.core.Y0))
+	}
+	*out = cr
+}
+
+// resolveClass is the resolver chain: it tries each rung in a fixed
+// order — resume checkpoint, remote class solver, pattern-library exact
+// hit, pattern-library similarity hit, local solve — and returns the
+// first answer. Checkpoint, remote and library entries are all stored
+// in the canonical frame under the same contract, so the reuse rungs
+// are bit-identical to the solve that produced them, except a
+// similarity hit: fragmentation is not orientation-covariant, so its
+// carried solution is engine-equivalent within ConvergeEps and is
+// accounted separately.
+func (r *tileRun) resolveClass(tw *trace.Worker, pass int, key string, g *classGeom) classResult {
+	if ent, ok := r.ckpt.lookup(pass, key); ok {
+		return classResult{polys: ent.Polys, rms: ent.RMS, iters: ent.Iters, src: srcResumed}
+	}
+	if ent, ok := r.remote[key]; ok {
+		// Workers report degraded classes as unsolved, so remote
+		// entries are always clean engine solutions.
+		return classResult{polys: ent.Polys, rms: ent.RMS, iters: ent.Iters, src: srcRemote}
+	}
+	if polys, rms, iters, ok := r.psess.Lookup(r.level.String(), key); ok {
+		return classResult{polys: polys, rms: rms, iters: iters, src: srcLibExact}
+	}
+	if r.psess != nil {
+		active, halo := g.canonical()
+		if sr, ok := r.psess.Similar(r.level.String(), r.tile, active, halo); ok {
+			return classResult{polys: sr.Polys, rms: sr.RMS, iters: sr.Iters, src: srcLibSimilar}
+		}
+	}
+	core, active, halo := g.core, g.active, g.halo
+	if g.members > 1 {
+		core = core.Translate(g.toCanon())
+		active, halo = g.canonical()
+	}
+	// Everything is clipped to core + halo, so the window never exceeds
+	// tile + 2*halo regardless of how long the original wires are.
+	mWorkersBusy.Add(1)
+	defer mWorkersBusy.Add(-1)
+	tw.Emit(trace.SolveBegin, pass, g.core, g.members, 0, 0, "")
+	tc0 := time.Now()
+	cr := r.f.correctClass(r.ctx, r.level, active, halo, core, core.Grow(r.f.Ambit), tw, pass, g.core)
+	mTileSeconds.Observe(time.Since(tc0).Seconds())
+	return cr
+}
+
+// fold is stage 3 (serial, so stats and metrics are deterministic
+// regardless of worker scheduling): place every class member by
+// translating the class solution to its tile origin, and fold the class
+// outcomes into the run statistics.
+func (r *tileRun) fold(pass int, classes []*tileClass, classRes []classResult) {
+	st := &r.st
+	for ci, c := range classes {
+		cr := classRes[ci]
+		n := len(c.members)
+		st.Retries += cr.retries
+		st.Panics += cr.panics
+		st.Timeouts += cr.timeouts
+		mTileRetries.Add(int64(cr.retries))
+		mTilePanics.Add(int64(cr.panics))
+		mTileTimeouts.Add(int64(cr.timeouts))
+		if rung := rungs[cr.src]; rung.tiles != nil {
+			*rung.tiles(st) += n
+			if rung.counter != nil {
+				rung.counter.Add(int64(n))
+			}
+		} else {
+			st.CorrectedTiles++
+			mTilesCorrected.Inc()
+			st.Iterations += cr.iters
+			if cr.warmFrags > 0 && r.f.Prior != nil {
+				st.WarmTiles++
+				st.WarmFragments += cr.warmFrags
+				st.PriorSavedIters += r.f.Prior.ObserveWarmRun(cr.iters)
+			}
+			if n > 1 {
+				st.ReusedTiles += n - 1
+				mTilesReused.Add(int64(n - 1))
+				r.sched.Emit(trace.TileDedup, pass, r.jobs[c.rep].core, n-1, cr.iters, cr.rms, "")
+			}
+		}
+		if cr.degraded != "" {
+			if cr.degraded == degradeRules {
+				st.DegradedRules += n
+			} else {
+				st.DegradedUncorrected += n
+			}
+			mTilesDegraded.Add(int64(n))
+			st.Degradations = append(st.Degradations, TileDegradation{
+				Pass: pass, Tile: r.jobs[c.rep].core, Members: n,
+				Mode: cr.degraded, Err: cr.degErr,
+			})
+		}
+		for _, i := range c.members {
+			placed := cr.polys
+			if n > 1 {
+				placed = geom.TranslatePolygons(cr.polys, geom.Pt(r.jobs[i].core.X0, r.jobs[i].core.Y0))
+			}
+			r.results[i], r.tileRMS[i] = placed, cr.rms
+		}
+	}
+}
+
+// prepareNextPass builds the moved-geometry index for the dirty filter
+// and makes the corrected layer the new context source.
+func (r *tileRun) prepareNextPass() {
+	r.movedIdx = geom.NewGridIndex(r.tile)
+	n := int32(0)
+	for i := range r.jobs {
+		if sameSlice(r.results[i], r.xorBase[i]) {
+			continue // clean reuse: nothing moved
+		}
+		moved := geom.RegionFromPolygons(r.results[i]...).
+			Xor(geom.RegionFromPolygons(r.xorBase[i]...))
+		for _, rect := range moved.Rects() {
+			r.movedIdx.Insert(rect, n)
+			n++
+		}
+		r.xorBase[i] = r.results[i]
+	}
+	r.ctxPolys = r.ctxPolys[:0:0]
+	for i := range r.jobs {
+		r.ctxPolys = append(r.ctxPolys, r.results[i]...)
+	}
+	r.ctxIdx = geom.NewGridIndex(r.tile)
+	for i, p := range r.ctxPolys {
+		r.ctxIdx.Insert(p.BBox(), int32(i))
+	}
 }
 
 // Degradation-ladder modes.
@@ -789,10 +757,13 @@ const (
 )
 
 // classResult is one tile class's outcome in one pass: the corrected
-// polygons plus the resilience accounting the serial stage 3 folds into
-// TileStats.
+// polygons, the rung that produced them, and the resilience accounting
+// the serial stage 3 folds into TileStats. A reuse rung's polygons are
+// in the canonical frame; a local solve's are in the class's solve
+// frame (classGeom) until the stage-2 epilogue places them.
 type classResult struct {
 	polys                     []geom.Polygon
+	src                       provenance
 	rms                       float64
 	iters                     int
 	warmFrags                 int
@@ -801,12 +772,6 @@ type classResult struct {
 	// model-path error that forced the fallback.
 	degraded string
 	degErr   string
-	// resumed marks a result restored from a checkpoint; remote one
-	// solved by a cluster worker; libExact and libSimilar mark results
-	// served from the cross-run pattern library.
-	resumed              bool
-	remote               bool
-	libExact, libSimilar bool
 	// err is fatal (run cancelled / checkpoint mismatch): it aborts
 	// the run instead of engaging the degradation ladder.
 	err error
@@ -968,17 +933,6 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// ckptLookup consults the (resume-seeded) checkpoint for a finished
-// class result.
-func ckptLookup(w *ckptWriter, pass int, key string) (CheckpointEntry, bool) {
-	if w == nil || key == "" {
-		return CheckpointEntry{}, false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ck.lookup(pass, key)
-}
-
 // sameSlice reports whether two polygon slices are the same slice (the
 // clean-reuse case, where a tile's result was carried over unchanged).
 func sameSlice(a, b []geom.Polygon) bool {
@@ -1016,7 +970,15 @@ func EstimateTiles(target []geom.Polygon, tile geom.Coord) int {
 	if len(target) == 0 || tile <= 0 {
 		return 0
 	}
-	idx := geom.NewGridIndex(tile)
+	_, cores, _ := gridCores(target, tile)
+	return len(cores)
+}
+
+// gridCores indexes the bounding boxes of target on a tile-size grid
+// and walks the grid tiles over their union: cores are the tile cores
+// some box touches, pruned the tiles the index proved empty.
+func gridCores(target []geom.Polygon, tile geom.Coord) (idx *geom.GridIndex, cores []geom.Rect, pruned int) {
+	idx = geom.NewGridIndex(tile)
 	var bounds geom.Rect
 	for i, p := range target {
 		bb := p.BBox()
@@ -1027,15 +989,17 @@ func EstimateTiles(target []geom.Polygon, tile geom.Coord) int {
 			bounds = bounds.Union(bb)
 		}
 	}
-	n := 0
 	for y := bounds.Y0; y < bounds.Y1; y += tile {
 		for x := bounds.X0; x < bounds.X1; x += tile {
-			if len(idx.CollectIDs(geom.Rect{X0: x, Y0: y, X1: x + tile, Y1: y + tile})) > 0 {
-				n++
+			core := geom.Rect{X0: x, Y0: y, X1: x + tile, Y1: y + tile}
+			if len(idx.CollectIDs(core)) == 0 {
+				pruned++
+				continue
 			}
+			cores = append(cores, core)
 		}
 	}
-	return n
+	return idx, cores, pruned
 }
 
 // clipToRegion gathers the polygons touching the query window and clips

@@ -108,7 +108,7 @@ func TestCorrectWindowedDirtySkipExact(t *testing.T) {
 		t.Errorf("full pass 2 did not do more work: %d+%d vs %d+%d",
 			stFull.CorrectedTiles, stFull.ReusedTiles, st.CorrectedTiles, st.ReusedTiles)
 	}
-	// With DirtyEps zero the skip is exact: identical output.
+	// The skip is exact: identical output.
 	if !reflect.DeepEqual(res.Corrected, resFull.Corrected) {
 		t.Error("dirty-tile pass 2 output differs from full pass 2")
 	}
@@ -160,8 +160,5 @@ func TestCorrectWindowedTileIterationStats(t *testing.T) {
 	}
 	if st.Iterations < 1 {
 		t.Errorf("iterations = %d, want >= 1", st.Iterations)
-	}
-	if st.KernelHits+st.KernelMisses < 1 {
-		t.Errorf("kernel cache stats empty: hits=%d misses=%d", st.KernelHits, st.KernelMisses)
 	}
 }

@@ -164,63 +164,3 @@ func TestEvaluateEPEStatsShape(t *testing.T) {
 		t.Errorf("no resolved sites but MeanAbs=%f", st.MeanAbs)
 	}
 }
-
-func TestRetargetWidensNarrow(t *testing.T) {
-	// A 120-wide line among legal geometry: only it changes.
-	target := []geom.Polygon{
-		geom.R(0, 0, 120, 2000).Polygon(),
-		geom.R(1000, 0, 1180, 2000).Polygon(),
-	}
-	out, err := Retarget(target, 180)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := geom.RegionFromPolygons(out...)
-	// The narrow line is now at least 180 wide.
-	if !region.NarrowerThan(180).Empty() {
-		t.Error("retarget left narrow geometry")
-	}
-	// The legal line is untouched.
-	legal := geom.RegionFromPolygons(target[1])
-	if !legal.Xor(region.Intersect(geom.RegionFromRects(geom.R(900, -100, 1300, 2100)))).Empty() {
-		t.Error("legal geometry modified")
-	}
-}
-
-func TestRetargetPassThrough(t *testing.T) {
-	target := []geom.Polygon{geom.R(0, 0, 200, 2000).Polygon()}
-	out, err := Retarget(target, 180)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Area() != target[0].Area() {
-		t.Error("clean geometry must pass through")
-	}
-	if _, err := Retarget(target, 0); err == nil {
-		t.Error("zero minCD should fail")
-	}
-	if out, err := Retarget(nil, 180); err != nil || out != nil {
-		t.Error("empty input should pass")
-	}
-}
-
-func TestRetargetNarrowTab(t *testing.T) {
-	// A narrow tab on a wide block gets widened; the block stays.
-	target := []geom.Polygon{{
-		geom.Pt(0, 0), geom.Pt(1000, 0), geom.Pt(1000, 400),
-		geom.Pt(1100, 400), geom.Pt(1100, 500), geom.Pt(1000, 500),
-		geom.Pt(1000, 1000), geom.Pt(0, 1000),
-	}}
-	// The tab is the 100x100 bump at (1000..1100, 400..500).
-	out, err := Retarget(target, 180)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := geom.RegionFromPolygons(out...)
-	if !region.NarrowerThan(180).Empty() {
-		t.Error("tab still narrow")
-	}
-	if region.Area() <= geom.RegionFromPolygons(target...).Area() {
-		t.Error("retarget should add area")
-	}
-}

@@ -22,8 +22,7 @@ type Simulator struct {
 	plans sync.Map // [2]int -> *fft.Plan2D
 	// kcache caches SOCS kernel sets per (frame geometry, defocus) so
 	// OPC iteration loops and E-D process-window sweeps rebuild nothing.
-	kcache                   sync.Map // kernelKey -> *kernelEntry
-	kernelHits, kernelMisses atomic.Int64
+	kcache sync.Map // kernelKey -> *kernelEntry
 	// fieldEvals counts Abbe source-field evaluations (observability for
 	// the early-abort path and the benchmarks).
 	fieldEvals atomic.Int64

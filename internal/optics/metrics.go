@@ -2,11 +2,10 @@ package optics
 
 import "goopc/internal/obs"
 
-// Registry series for the imaging engines. The per-Simulator statistics
-// (KernelCacheStats, FieldEvals) remain per-object — tests and
-// benchmarks reset them per simulator — and mirror into these flow-wide
-// series, so the /metrics view aggregates every simulator in the
-// process while the old accessors keep their exact semantics.
+// Registry series for the imaging engines, aggregated over every
+// simulator in the process. The kernel-cache series are the only count
+// of cache traffic; the Abbe field-evaluation count is also kept per
+// simulator (fieldEvals) for the early-abort tests.
 var (
 	mKernelHits = obs.Default().Counter("goopc_kernel_cache_hits_total",
 		"SOCS kernel cache hits (kernel set reused for a frame/defocus)")

@@ -106,14 +106,11 @@ func (sim *Simulator) kernels(frame Frame, defocusNM float64) (*kernelSet, error
 		var loaded bool
 		e, loaded = sim.kcache.LoadOrStore(key, &kernelEntry{})
 		if loaded {
-			sim.kernelHits.Add(1)
 			mKernelHits.Inc()
 		} else {
-			sim.kernelMisses.Add(1)
 			mKernelMisses.Inc()
 		}
 	} else {
-		sim.kernelHits.Add(1)
 		mKernelHits.Inc()
 	}
 	entry := e.(*kernelEntry)
@@ -123,19 +120,10 @@ func (sim *Simulator) kernels(frame Frame, defocusNM float64) (*kernelSet, error
 	return entry.ks, entry.err
 }
 
-// KernelCacheStats reports SOCS kernel cache hits and misses since the
-// simulator was created (or last ResetKernelCache). This is a thin
-// per-simulator shim over the same events mirrored onto the obs
-// registry as goopc_kernel_cache_{hits,misses}_total — the registry
-// series aggregate every simulator in the process and are never reset.
-func (sim *Simulator) KernelCacheStats() (hits, misses int64) {
-	return sim.kernelHits.Load(), sim.kernelMisses.Load()
-}
-
-// ResetKernelCache drops every cached kernel set and zeroes the
-// per-simulator cache statistics (benchmark support). Dropped entries
-// count as evictions on the obs registry; the registry's hit/miss
-// totals stay monotone.
+// ResetKernelCache drops every cached kernel set (benchmark support).
+// Dropped entries count as evictions on the obs registry; the
+// goopc_kernel_cache_{hits,misses}_total series, the one count of cache
+// traffic, stay monotone.
 func (sim *Simulator) ResetKernelCache() {
 	evicted := int64(0)
 	sim.kcache.Range(func(k, _ any) bool {
@@ -144,8 +132,6 @@ func (sim *Simulator) ResetKernelCache() {
 		return true
 	})
 	mKernelEvictions.Add(evicted)
-	sim.kernelHits.Store(0)
-	sim.kernelMisses.Store(0)
 }
 
 // KernelInfo reports the retained kernel count and eigenvalue-mass

@@ -255,6 +255,11 @@ func TestKernelCacheReuse(t *testing.T) {
 	mask := []geom.Polygon{geom.R(-90, -1000, 90, 1000).Polygon()}
 	window := geom.R(-300, -300, 300, 300)
 	focuses := []float64{-300, 0, 300}
+	// The registry series are process-wide: measure deltas.
+	hits0, misses0 := mKernelHits.Value(), mKernelMisses.Value()
+	stats := func() (hits, misses int64) {
+		return mKernelHits.Value() - hits0, mKernelMisses.Value() - misses0
+	}
 	for pass := 0; pass < 4; pass++ { // doses are free: same images re-run
 		for _, z := range focuses {
 			if _, err := sim.AerialDefocus(mask, window, z); err != nil {
@@ -262,7 +267,7 @@ func TestKernelCacheReuse(t *testing.T) {
 			}
 		}
 	}
-	hits, misses := sim.KernelCacheStats()
+	hits, misses := stats()
 	if misses != int64(len(focuses)) {
 		t.Errorf("misses = %d, want %d (one per focus)", misses, len(focuses))
 	}
@@ -273,18 +278,19 @@ func TestKernelCacheReuse(t *testing.T) {
 	if _, err := sim.AerialDefocus(mask, geom.R(-280, -280, 280, 280), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses2 := sim.KernelCacheStats(); misses2 != misses {
+	if _, misses2 := stats(); misses2 != misses {
 		t.Errorf("same-geometry window caused a rebuild: misses %d -> %d", misses, misses2)
 	}
+	ev0 := mKernelEvictions.Value()
 	sim.ResetKernelCache()
-	if h, m := sim.KernelCacheStats(); h != 0 || m != 0 {
-		t.Errorf("stats after reset: %d/%d", h, m)
+	if ev := mKernelEvictions.Value() - ev0; ev != int64(len(focuses)) {
+		t.Errorf("reset evicted %d kernel sets, want %d", ev, len(focuses))
 	}
 	if _, err := sim.Aerial(mask, window); err != nil {
 		t.Fatal(err)
 	}
-	if _, m := sim.KernelCacheStats(); m != 1 {
-		t.Errorf("post-reset miss count = %d, want 1", m)
+	if _, m := stats(); m != misses+1 {
+		t.Errorf("post-reset misses = %d, want %d (one rebuild)", m, misses+1)
 	}
 }
 

@@ -343,9 +343,13 @@ func TestClusterSmoke(t *testing.T) {
 	env := startTestServer(t, func(c *Config) { co = testCoordinator(c) })
 
 	// Three workers; the victim stalls forever on every class it
-	// touches, so the kill below always lands mid-shard.
-	spawnWorker(t, env.ts.URL, "clean-1", "")
-	spawnWorker(t, env.ts.URL, "clean-2", "")
+	// touches, so the kill below always lands mid-shard. The clean
+	// workers spend 500 ms on each of their first three classes, so the
+	// queue cannot drain (and a clean worker cannot steal the victim's
+	// shard) before the victim's lease expires and the reconciler
+	// requeues it — lease expiry is the only way this test can pass.
+	spawnWorker(t, env.ts.URL, "clean-1", "seed=1;worker.solve:delay:n=3:d=500ms")
+	spawnWorker(t, env.ts.URL, "clean-2", "seed=2;worker.solve:delay:n=3:d=500ms")
 	victim := spawnWorker(t, env.ts.URL, "victim", "seed=1;worker.solve:delay:n=99:d=120s")
 	waitClusterWorkers(t, co, 3)
 
